@@ -7,5 +7,5 @@ equations, determinant rank conditions, period formulas, reconstruction and
 symplectic identities that characterise these cross ratios.
 """
 
-__all__ = ["projlin", "surfgrp", "crossratio", "chi", "symplectic", "jetspace", "cli"]
+__all__ = ["projlin", "surfgrp", "crossratio"]
 __version__ = "0.1.0"

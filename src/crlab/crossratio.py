@@ -3,17 +3,25 @@
 A cross ratio is a four-point function b(x, y, z, t) defined for x != t,
 y != z.  The evaluators here come from three sources: the classical one on
 RP^1, pairing quotients of a limit curve and its dual, and reconstructed
-coordinate curves.  Check routines draw seeded tuples from a SampleSet and
-report the worst violation of each functional identity.
+coordinate curves.
+
+Every evaluator takes four boundary points, and also rows of indices into a
+SampleSet (`CrossRatioFn.on_indices`).  On a sample set the pairing cross
+ratio of a curve pair is a gather from two N x n arrays, the pair's
+`table(sample)` of xi and xi* at every sample point, built once per sample
+set; other evaluators loop over the rows.  The sample-set checks share one
+routine (`_drive`): it draws all seeded index tuples first, evaluates b on
+every quadruple they need in one batched call, and reduces the identities
+with numpy into one report schema.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .projlin import normalize_rep, veronese, veronese_dual
 from .surfgrp import (
-    BoundaryPoint, DEDUP_TOL, GroupDataError, TWO_PI, Word,
+    BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
     circular_gap, evaluate, fixed_points_2x2, translate_point,
 )
 
@@ -47,14 +55,31 @@ class Quadruple:
 
 @dataclass(eq=False)
 class CrossRatioFn:
-    """Evaluator on quadruples of boundary points plus provenance label."""
+    """Evaluator on quadruples of boundary points plus provenance label.
+
+    `indexed(sample, idx)` evaluates b on the rows (x, y, z, t) of an (m, 4)
+    array of sample indices; without it, `on_indices` loops the evaluator.
+    """
 
     evaluator: callable
     label: str
     angle_evaluable: bool = False
+    indexed: callable = None
 
     def __call__(self, x, y, z, t):
         return self.evaluator(x, y, z, t)
+
+    def on_indices(self, sample, idx):
+        """b on each row of an (m, 4) array of indices into sample.points.
+
+        Raises what evaluating the rows one by one, in order, would raise
+        first.
+        """
+        if self.indexed is not None:
+            return self.indexed(sample, idx)
+        pts = sample.points
+        return np.array([self.evaluator(pts[x], pts[y], pts[z], pts[t])
+                         for x, y, z, t in idx.tolist()], float)
 
     def on_quadruple(self, q):
         return self.evaluator(*q.points())
@@ -121,12 +146,69 @@ class CurvePair:
     xistar_fn: callable      # BoundaryPoint -> unit covector
     label: str = ""
     angle_evaluable: bool = False
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def xi(self, p):
         return self.xi_fn(p)
 
     def xistar(self, p):
         return self.xistar_fn(p)
+
+    def table(self, sample):
+        """xi and xi* at every point of a SampleSet, built on first use."""
+        got = self._tables.get(sample)
+        if got is None:
+            got = self._tables[sample] = CurveTable.stack(self, sample.points)
+        return got
+
+
+@dataclass(frozen=True, eq=False)
+class CurveTable:
+    """A curve pair stacked over the points of one sample set.
+
+    Row i of `xi` and `xistar` is the pair's value at point i.  A value that
+    raised is a NaN row, and its exception is kept in `xi_errors` or
+    `xistar_errors` under i, to be raised again by a tuple that needs it.
+    """
+
+    xi: np.ndarray           # (N, n)
+    xistar: np.ndarray       # (N, n)
+    xi_errors: dict
+    xistar_errors: dict
+
+    @staticmethod
+    def stack(pair, points):
+        arrays = (np.full((len(points), pair.n), np.nan),
+                  np.full((len(points), pair.n), np.nan))
+        errors = ({}, {})
+        for i, p in enumerate(points):
+            for fn, arr, errs in zip((pair.xi, pair.xistar), arrays, errors):
+                try:
+                    arr[i] = fn(p)
+                except ValueError as exc:
+                    errs[i] = exc.with_traceback(None)
+        return CurveTable(*arrays, *errors)
+
+    def curve_cr(self, idx):
+        """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
+
+        Raises what `curve_cr` on the rows one by one would raise first.
+        """
+        x, y, z, t = idx.T
+        vx, vz = self.xi[x], self.xi[z]
+        cy, ct = self.xistar[y], self.xistar[t]
+        dzy = np.vecdot(vz, cy)
+        dxt = np.vecdot(vx, ct)
+        # degenerate, or NaN from a value that raised
+        suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
+        for r in np.flatnonzero(suspect):
+            for errs, i in ((self.xi_errors, x[r]), (self.xi_errors, z[r]),
+                            (self.xistar_errors, y[r]), (self.xistar_errors, t[r])):
+                if i in errs:
+                    raise errs[i].with_traceback(None)
+            _require_pairings(dzy[r], dxt[r])
+        num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
+        return num / (dzy * dxt)
 
 
 def veronese_pair(n):
@@ -158,7 +240,7 @@ def representation_pair(gens, rep, n, label=""):
     and the dual value the dominant left eigenline of the inverse; repelling
     points swap the roles.  Values are cached per (word, sign).
     """
-    rep = tuple(np.asarray(m, float) for m in rep)
+    rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep), gens.kind)
     cache = {}
 
     def data(p):
@@ -198,19 +280,29 @@ def curve_cr(pair, q):
     num = (vx @ cy) * (vz @ ct)
     dzy = vz @ cy
     dxt = vx @ ct
+    _require_pairings(dzy, dxt)
+    return num / (dzy * dxt)
+
+
+def _require_pairings(dzy, dxt):
     if abs(dzy) <= PAIRING_TOL:
         raise DomainError("degenerate pairing <xi(z), xi*(y)>")
     if abs(dxt) <= PAIRING_TOL:
         raise DomainError("degenerate pairing <xi(x), xi*(t)>")
-    return num / (dzy * dxt)
 
 
 def curve_cr_fn(pair):
+    """`curve_cr` of a pair; on sample indices it gathers from `pair.table`."""
+
     def ev(x, y, z, t):
         return curve_cr(pair, (x, y, z, t))
 
     return CrossRatioFn(evaluator=ev, label=pair.label or pair.mode,
-                        angle_evaluable=pair.angle_evaluable)
+                        angle_evaluable=pair.angle_evaluable,
+                        indexed=lambda sample, idx: pair.table(sample).curve_cr(idx))
+
+
+_DUAL = [1, 0, 3, 2]  # (x, y, z, t) -> (y, x, t, z)
 
 
 def dual_cr(b):
@@ -219,30 +311,99 @@ def dual_cr(b):
         evaluator=lambda x, y, z, t: b(y, x, t, z),
         label=f"dual({b.label})",
         angle_evaluable=b.angle_evaluable,
+        indexed=lambda sample, idx: b.on_indices(sample, idx[:, _DUAL]),
     )
 
 
-# -- seeded tuple streams -----------------------------------------------------
+# -- seeded tuple streams and the shared check loop ---------------------------
+
+def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP, tries=400):
+    """count rows of k distinct indices into sample.points whose points lie
+    pairwise more than min_gap apart on the circle.
+
+    Consumes rng exactly as count calls of draw_points do, so a seed draws
+    the same tuples either way.
+    """
+    n = len(sample.points)
+    if n < k:
+        raise DomainError(f"sample set too small: {n} < {k}")
+    angles = sample.angles().tolist()
+    out = np.empty((count, k), dtype=np.intp)
+    for row in out:
+        for _ in range(tries):
+            idx = rng.choice(n, size=k, replace=False)
+            a = [angles[i] for i in idx.tolist()]
+            if all(circular_gap(p, q) > min_gap
+                   for i, p in enumerate(a) for q in a[i + 1:]):
+                row[:] = idx
+                break
+        else:
+            raise DomainError("could not draw a separated tuple; lower min_gap")
+    return out
+
 
 def draw_points(sample, rng, k, min_gap=DEFAULT_MIN_GAP, tries=400):
     """k distinct sample points with pairwise circular gap above min_gap."""
-    pts = sample.points
-    if len(pts) < k:
-        raise DomainError(f"sample set too small: {len(pts)} < {k}")
-    for _ in range(tries):
-        idx = rng.choice(len(pts), size=k, replace=False)
-        chosen = [pts[i] for i in idx]
-        ok = all(
-            circular_gap(a.circle_coord, b.circle_coord) > min_gap
-            for i, a in enumerate(chosen) for b in chosen[i + 1:]
-        )
-        if ok:
-            return chosen
-    raise DomainError("could not draw a separated tuple; lower min_gap")
+    row = draw_indices(sample, rng, k, 1, min_gap, tries)[0]
+    return [sample.points[i] for i in row]
+
+
+def _drive(b, sample, count, k, quads, seed, min_gap):
+    """Draw count seeded k-tuples of sample indices and evaluate b on them.
+
+    `quads` holds, as positions into a tuple, each quadruple b is needed on.
+    All of them are evaluated in one batched call, in the order a loop over
+    the tuples meets them, so a failure is the one that loop would raise.
+    Returns the (count, k) indices and one array of count values per row
+    of `quads`.
+    """
+    idx = draw_indices(sample, np.random.default_rng(seed), k, count, min_gap)
+    vals = b.on_indices(sample, idx[:, quads].reshape(-1, 4))
+    return idx, vals.reshape(count, len(quads)).T
 
 
 def _rel(a, b):
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+    return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+
+
+def _worst(viol):
+    """The largest violation and the index of the first tuple with it.
+
+    As a running maximum from 0.0 updated on a strict > finds them: (0.0,
+    None) when no violation is above 0, and a NaN never counts.
+    """
+    v = np.concatenate(([0.0], np.where(viol > 0.0, viol, 0.0)))
+    k = int(np.argmax(v))
+    return float(v[k]), (k - 1 if k else None)
+
+
+def _angles(sample, row):
+    return tuple(sample.points[i].circle_coord for i in row)
+
+
+def _report(check, b, count, tol, max_violation, argmax, **fields):
+    """The report of every check; `fields` are the check's own entries."""
+    return {"check": check, "label": b.label, "tuples": count, **fields,
+            "max_violation": max_violation, "argmax": argmax,
+            "passed": bool(max_violation < tol), "tol": tol}
+
+
+def _identity_report(check, b, sample, idx, viol, tol):
+    """Report of one identity; the witness is the angles of its tuple."""
+    worst, k = _worst(viol)
+    return _report(check, b, len(idx), tol, worst,
+                   None if k is None else _angles(sample, idx[k]))
+
+
+# positions in the drawn tuple (x, y, z, t, w) of the quadruples b is
+# evaluated on: (x,y,z,t), then the swapped pairs, the two cocycle
+# factorizations through w, the zero locus and the two unit loci
+_AXIOM_QUADS = np.array([
+    (0, 1, 2, 3), (2, 3, 0, 1),
+    (0, 1, 2, 4), (0, 4, 2, 3),
+    (0, 1, 4, 3), (4, 1, 2, 3),
+    (0, 0, 2, 3), (0, 1, 0, 3), (0, 1, 2, 1),
+])
 
 
 def check_axioms(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
@@ -250,61 +411,53 @@ def check_axioms(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
 
     Checks symmetry under swapping the two pairs, the zero locus, both
     multiplicative cocycle rules, the unit locus, and reports the observed
-    strictness floor min |b - 1| on separated tuples.
+    strictness floor min |b - 1| on separated tuples.  Each axiom's witness
+    in `argmax` is the (x, y, z, t) angles of the first tuple reaching its
+    worst violation, or None when no violation is above 0.
+
+    For a pairing cross ratio such as `curve_cr_fn`'s, symmetry, both
+    cocycles and the unit locus hold identically in the pairings, so on
+    those evaluators they measure float error only; the zero locus, xi(x)
+    in the kernel of xi*(x), carries the content.  The whole battery tests
+    evaluators that are not pairing quotients, such as Otal's or corrupted
+    ones.
     """
-    rng = np.random.default_rng(seed)
-    worst = {"symmetry": 0.0, "cocycle-zw": 0.0, "cocycle-wy": 0.0,
-             "zero-locus": 0.0, "unit-locus": 0.0}
-    argmax = {k: None for k in worst}
-    strictness_floor = np.inf
-    for _ in range(count):
-        x, y, z, t, w = draw_points(sample, rng, 5, min_gap)
-        v = b(x, y, z, t)
-
-        checks = [
-            ("symmetry", _rel(v, b(z, t, x, y))),
-            ("cocycle-zw", _rel(v, b(x, y, z, w) * b(x, w, z, t))),
-            ("cocycle-wy", _rel(v, b(x, y, w, t) * b(w, y, z, t))),
-            ("zero-locus", abs(b(x, x, z, t))),
-            ("unit-locus", max(abs(b(x, y, x, t) - 1.0), abs(b(x, y, z, y) - 1.0))),
-        ]
-        for name, viol in checks:
-            if viol > worst[name]:
-                worst[name] = viol
-                argmax[name] = tuple(p.circle_coord for p in (x, y, z, t))
-        strictness_floor = min(strictness_floor, abs(v - 1.0))
-
-    max_violation = max(worst.values())
-    return {
-        "check": "axioms",
-        "label": b.label,
-        "tuples": count,
-        "per_axiom": worst,
-        "argmax": argmax,
-        "strictness_floor": strictness_floor,
-        "max_violation": max_violation,
-        "passed": bool(max_violation < tol),
-        "tol": tol,
+    idx, (v, swapped, zw1, zw2, wy1, wy2, zero, unit1, unit2) = _drive(
+        b, sample, count, 5, _AXIOM_QUADS, seed, min_gap)
+    viols = {
+        "symmetry": _rel(v, swapped),
+        "cocycle-zw": _rel(v, zw1 * zw2),
+        "cocycle-wy": _rel(v, wy1 * wy2),
+        "zero-locus": np.abs(zero),
+        "unit-locus": np.maximum(np.abs(unit1 - 1.0), np.abs(unit2 - 1.0)),
     }
+    worst, argmax = {}, {}
+    for name, viol in viols.items():
+        worst[name], k = _worst(viol)
+        argmax[name] = None if k is None else _angles(sample, idx[k, :4])
+    floor = float(np.fmin.reduce(np.abs(v - 1.0), initial=np.inf))
+    return _report("axioms", b, count, tol, max(worst.values()), argmax,
+                   per_axiom=worst, strictness_floor=floor)
 
 
 def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
-    """Max violation of b(gx, gy, gz, gt) = b(x, y, z, t) over the generators."""
+    """Max violation of b(gx, gy, gz, gt) = b(x, y, z, t) over the generators.
+
+    Evaluates tuple by tuple, as the moved points are not sample points; the
+    witness is the generator and the angles of the tuple.
+    """
     gens = sample.group
     rng = np.random.default_rng(seed)
-    worst, arg = 0.0, None
+    viol, witness = [], []
     for _ in range(count):
         pts = draw_points(sample, rng, 4, min_gap)
         g = int(rng.integers(1, gens.rank + 1)) * (1 if rng.random() < 0.5 else -1)
         moved = [translate_point(gens, Word.of(g), p) for p in pts]
-        viol = _rel(b(*pts), b(*moved))
-        if viol > worst:
-            worst, arg = viol, (g, tuple(p.circle_coord for p in pts))
-    return {
-        "check": "invariance", "label": b.label, "tuples": count,
-        "max_violation": worst, "argmax": arg, "passed": bool(worst < tol),
-        "tol": tol,
-    }
+        viol.append(_rel(b(*pts), b(*moved)))
+        witness.append((g, tuple(p.circle_coord for p in pts)))
+    worst, k = _worst(np.array(viol, float))
+    return _report("invariance", b, count, tol, worst,
+                   None if k is None else witness[k])
 
 
 # -- periods, triple ratios, projective-line relations ------------------------
@@ -344,35 +497,27 @@ def triple_ratio(b, x, y, z, t, t2=None, tol=1e-9):
     return v
 
 
-def check_relation12(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
+# (f,v,e,u), (u,v,e,f) as positions in the drawn tuple (f, v, e, u)
+_RELATION12_QUADS = np.array([(0, 1, 2, 3), (3, 1, 2, 0)])
+# (f,v,e,u), (g,w,e,u), (f,w,e,u), (g,v,e,u) in the drawn (f, g, v, w, e, u)
+_RELATION13_QUADS = np.array([(0, 2, 4, 5), (1, 3, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5)])
+
+
+def check_relation12(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violation of 1 - b(f,v,e,u) = b(u,v,e,f) over seeded tuples."""
-    rng = np.random.default_rng(seed)
-    worst, arg = 0.0, None
-    for _ in range(count):
-        f, v, e, u = draw_points(sample, rng, 4, min_gap)
-        lhs = 1.0 - b(f, v, e, u)
-        rhs = b(u, v, e, f)
-        viol = _rel(lhs, rhs)
-        if viol > worst:
-            worst, arg = viol, tuple(p.circle_coord for p in (f, v, e, u))
-    return {"check": "relation-affine", "label": b.label, "tuples": count,
-            "max_violation": worst, "argmax": arg}
+    idx, (fveu, uvef) = _drive(b, sample, count, 4, _RELATION12_QUADS, seed,
+                               min_gap)
+    return _identity_report("relation-affine", b, sample, idx,
+                            _rel(1.0 - fveu, uvef), tol)
 
 
-def check_relation13(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
+def check_relation13(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violation of the 2x2 product identity
     (b(f,v,e,u)-1)(b(g,w,e,u)-1) = (b(f,w,e,u)-1)(b(g,v,e,u)-1)."""
-    rng = np.random.default_rng(seed)
-    worst, arg = 0.0, None
-    for _ in range(count):
-        f, g, v, w, e, u = draw_points(sample, rng, 6, min_gap)
-        lhs = (b(f, v, e, u) - 1.0) * (b(g, w, e, u) - 1.0)
-        rhs = (b(f, w, e, u) - 1.0) * (b(g, v, e, u) - 1.0)
-        viol = _rel(lhs, rhs)
-        if viol > worst:
-            worst, arg = viol, tuple(p.circle_coord for p in (f, g, v, w, e, u))
-    return {"check": "relation-product", "label": b.label, "tuples": count,
-            "max_violation": worst, "argmax": arg}
+    idx, (fv, gw, fw, gv) = _drive(b, sample, count, 6, _RELATION13_QUADS, seed,
+                                   min_gap)
+    viol = _rel((fv - 1.0) * (gw - 1.0), (fw - 1.0) * (gv - 1.0))
+    return _identity_report("relation-product", b, sample, idx, viol, tol)
 
 
 def embed_from_cr(b, w, e, u, sample=None, count=50, seed=0,
@@ -399,17 +544,13 @@ def embed_from_cr(b, w, e, u, sample=None, count=50, seed=0,
 
     report = None
     if sample is not None:
-        rng = np.random.default_rng(seed + 1)
-        worst, arg = 0.0, None
-        for _ in range(count):
-            x, y, z, t = draw_points(sample, rng, 4)
-            viol = _rel(classical_cr(fmap(x), fmap(y), fmap(z), fmap(t)),
-                        b(x, y, z, t))
-            if viol > worst:
-                worst, arg = viol, tuple(p.circle_coord for p in (x, y, z, t))
-        report = {"check": "embedding-reproduction", "label": b.label,
-                  "tuples": count, "max_violation": worst, "argmax": arg,
-                  "passed": bool(worst < tol), "tol": tol}
+        # w, e and u need not be sample points, so fmap is evaluated point by point
+        idx, (v,) = _drive(b, sample, count, 4, [(0, 1, 2, 3)], seed + 1,
+                           DEFAULT_MIN_GAP)
+        images = [classical_cr(*(fmap(sample.points[i]) for i in row))
+                  for row in idx.tolist()]
+        report = _identity_report("embedding-reproduction", b, sample, idx,
+                                  _rel(np.array(images, float), v), tol)
     return fmap, report
 
 

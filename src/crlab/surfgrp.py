@@ -6,7 +6,7 @@ points of hyperbolic elements of the base 2x2 representation; an SL(n,R)
 representation is always carried alongside that base data.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -90,18 +90,30 @@ def cyclic_reduce(word):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Base 2x2 unimodular generator matrices plus the presentation kind."""
+    """Generator matrices plus the presentation kind.
 
-    matrices: tuple          # tuple of (2, 2) float arrays
+    The base group has 2x2 unimodular matrices; the images of a
+    representation use the same type with n x n matrices.  The inverses are
+    computed once here, so that word products only multiply.
+    """
+
+    matrices: tuple          # tuple of square float arrays
     kind: str                # "cocompact-genus-2" | "schottky-free"
+    inverses: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            inverses = tuple(np.linalg.inv(m) for m in self.matrices)
+        except np.linalg.LinAlgError as exc:
+            raise GroupDataError(f"singular generator matrix: {exc}") from exc
+        object.__setattr__(self, "inverses", inverses)
 
     @property
     def rank(self):
         return len(self.matrices)
 
     def letter_matrix(self, x):
-        m = self.matrices[abs(x) - 1]
-        return np.linalg.inv(m) if x < 0 else m
+        return self.matrices[x - 1] if x > 0 else self.inverses[-x - 1]
 
     def relator(self):
         return Word(GENUS2_RELATOR) if self.kind == "cocompact-genus-2" else None
@@ -258,23 +270,20 @@ def evaluate(gens, word, rep=None):
     """Ordered product of generator images along a word.
 
     `rep` defaults to the base 2x2 matrices; pass the SL(n,R) generator
-    images for a composed representation.  The running product is rescaled
-    to unit determinant every few factors to stop drift on long words.
+    images for a composed representation, best as a GeneratorSet so that
+    their inverses are not recomputed on every call.  The running product is
+    rescaled to unit determinant every few factors to stop drift on long
+    words.
     """
     if rep is None:
-        rep = gens.matrices
-    if len(rep) != gens.rank:
+        rep = gens
+    elif not isinstance(rep, GeneratorSet):
+        rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep), gens.kind)
+    if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
-    n = rep[0].shape[0]
-    mats = []
-    invs = []
-    for m in rep:
-        m = np.asarray(m, float)
-        mats.append(m)
-        invs.append(np.linalg.inv(m))
-    acc = np.eye(n)
+    acc = np.eye(rep.matrices[0].shape[0])
     for k, x in enumerate(word.letters, start=1):
-        acc = acc @ (mats[x - 1] if x > 0 else invs[-x - 1])
+        acc = acc @ rep.letter_matrix(x)
         if k % _RENORM_EVERY == 0:
             acc = _unit_det(acc)
     return _unit_det(acc)

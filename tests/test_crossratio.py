@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from crlab.crossratio import (
-    CrossRatioFn, DomainError, Quadruple, check_axioms, check_invariance,
-    check_relation12, check_relation13, classical_cr, classical_cr_fn,
-    curve_cr, curve_cr_fn, draw_points, dual_cr, embed_from_cr, flow_from_cr,
-    otal_cr_hyperbolic, period, representation_pair, triple_ratio,
-    veronese_pair,
+    CrossRatioFn, CurvePair, DomainError, Quadruple, check_axioms,
+    check_invariance, check_relation12, check_relation13, classical_cr,
+    classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
+    embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
+    representation_pair, triple_ratio, veronese_pair,
 )
 from crlab.surfgrp import (
-    BoundaryPoint, Word, circular_gap, evaluate, fixed_points_2x2,
-    translate_point,
+    BoundaryPoint, GroupDataError, Word, circular_gap, evaluate,
+    fixed_points_2x2, translate_point,
 )
 
 
@@ -356,3 +356,125 @@ class TestQuadrupleDomain:
         p = sample_l2.points
         q = Quadruple(p[0], p[1], p[2], p[3])
         assert len(q.points()) == 4
+
+
+def looped(b):
+    """The same evaluator without its batched path: rows are looped."""
+    return CrossRatioFn(evaluator=b.evaluator, label=b.label)
+
+
+def outcome(check, b, sample, seed, count=100):
+    """A check's report, or the type and message of what it raised."""
+    try:
+        return check(b, sample, count, seed=seed)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def draw_points_loop(sample, rng, k, min_gap=1e-3, tries=400):
+    """The original tuple draw, one rejection loop per tuple."""
+    pts = sample.points
+    for _ in range(tries):
+        idx = rng.choice(len(pts), size=k, replace=False)
+        chosen = [pts[i] for i in idx]
+        if all(circular_gap(a.circle_coord, b.circle_coord) > min_gap
+               for i, a in enumerate(chosen) for b in chosen[i + 1:]):
+            return chosen
+    raise DomainError("could not draw a separated tuple; lower min_gap")
+
+
+class TestBatchedChecks:
+    @pytest.mark.parametrize("sample_name", ["sample_l2", "sample_l3"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_table_matches_looped_evaluator(
+            self, request, octagon, sym_reps, sample_name, n):
+        sample = request.getfixturevalue(sample_name)
+        b = rep_cross_ratio(octagon, sym_reps, n)
+        for check in (check_axioms, check_relation12, check_relation13):
+            for bb in (b, dual_cr(b)):
+                for seed in range(4):
+                    want = outcome(check, looped(bb), sample, seed)
+                    assert outcome(check, bb, sample, seed) == want
+
+    def test_degenerate_seed_raises_on_both_paths(
+            self, octagon, sample_l3, sym_reps):
+        # at n = 5, seed 1 draws a tuple whose pairing falls below PAIRING_TOL
+        b = rep_cross_ratio(octagon, sym_reps, 5)
+        got = outcome(check_axioms, b, sample_l3, 1)
+        assert got[0] is DomainError
+        assert outcome(check_axioms, looped(b), sample_l3, 1) == got
+
+    @pytest.mark.parametrize("side", ["xi", "xistar"])
+    def test_failed_curve_values_raise_when_drawn(self, sample_l2, side):
+        # with every fifth point failing, rows often hold several failed
+        # points, so the order of the positions decides which one is raised
+        base = veronese_pair(3)
+        broken = set(sample_l2.points[::5])
+
+        def fails_at(fn):
+            def value(p):
+                if p in broken:
+                    raise GroupDataError(f"no eigen-data at {p.circle_coord}")
+                return fn(p)
+            return value
+
+        fns = {"xi_fn": base.xi_fn, "xistar_fn": base.xistar_fn}
+        fns[f"{side}_fn"] = fails_at(fns[f"{side}_fn"])
+        b = curve_cr_fn(CurvePair(n=3, mode="test", label="broken", **fns))
+        for check in (check_axioms, check_relation13):
+            for seed in range(6):
+                got = outcome(check, b, sample_l2, seed)
+                assert got[0] is GroupDataError
+                assert outcome(check, looped(b), sample_l2, seed) == got
+        # a check that never draws a failed point is not affected
+        others = type(sample_l2)(
+            points=tuple(p for p in sample_l2.points if p not in broken),
+            group=sample_l2.group)
+        assert check_axioms(b, others, 50, seed=0)["passed"]
+
+    def test_draw_indices_matches_draw_points(self, sample_l2):
+        # a large gap makes the draw reject and redraw
+        for k, min_gap in ((4, 1e-3), (5, 0.4), (6, 0.3)):
+            rngs = [np.random.default_rng(17) for _ in range(3)]
+            rows = draw_indices(sample_l2, rngs[0], k, 40, min_gap)
+            ref = [draw_points_loop(sample_l2, rngs[1], k, min_gap)
+                   for _ in range(40)]
+            wrapped = [draw_points(sample_l2, rngs[2], k, min_gap)
+                       for _ in range(40)]
+            assert [[sample_l2.points[i] for i in row] for row in rows] == ref
+            assert wrapped == ref
+            states = [r.bit_generator.state for r in rngs]
+            assert states[0] == states[1] == states[2]
+
+    def test_argmax_semantics(self, sample_l2):
+        b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")
+        rep = check_axioms(b, sample_l2, 20, seed=7)
+        first = draw_points(sample_l2, np.random.default_rng(7), 5)
+        first = tuple(p.circle_coord for p in first[:4])
+        # exactly 0: no witness
+        assert rep["per_axiom"]["symmetry"] == 0.0
+        assert rep["argmax"]["symmetry"] is None
+        # ties across all tuples: the first tuple wins
+        assert rep["per_axiom"]["zero-locus"] == 0.5
+        assert rep["argmax"]["zero-locus"] == first
+        assert rep["per_axiom"]["cocycle-zw"] == 0.25
+        assert rep["argmax"]["cocycle-zw"] == first
+        assert rep["strictness_floor"] == 0.5
+        assert rep["max_violation"] == 0.5 and not rep["passed"]
+
+    def test_reports_share_schema(self, sample_l2):
+        b = classical_cr_fn()
+        pts = sample_l2.points
+        reports = [
+            check_axioms(b, sample_l2, 20),
+            check_invariance(b, sample_l2, 5),
+            check_relation12(b, sample_l2, 20),
+            check_relation13(b, sample_l2, 20),
+            embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2,
+                          count=20)[1],
+        ]
+        keys = {"check", "label", "tuples", "max_violation", "argmax",
+                "passed", "tol"}
+        for rep in reports:
+            assert keys <= set(rep), rep["check"]
+            assert rep["passed"] and rep["tol"] == 1e-9

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from crlab.projlin import sym_power_rep
 from crlab.surfgrp import (
-    GENUS2_RELATOR, GroupDataError, Word, act_on_angle, angle_of_line,
+    GENUS2_RELATOR, GeneratorSet, GroupDataError, Word, _unit_det,
+    act_on_angle, angle_of_line,
     circular_gap, cyclic_reduce, enumerate_words, evaluate, fixed_points_2x2,
     line_of_angle, make_generator_set, octagon_fuchsian, sample_boundary,
     schottky, translate_point,
@@ -81,6 +83,24 @@ class TestEvaluate:
         g = octagon_fuchsian()
         m = evaluate(g, Word.of(1, 2, -3, 4, 1))
         assert abs(np.linalg.det(m) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_cached_inverses_keep_products_bit_identical(self, n):
+        g = octagon_fuchsian()
+        images = tuple(sym_power_rep(n, m) for m in g.matrices)
+        wrapped = GeneratorSet(images, g.kind)
+        for w in enumerate_words(g, 3)[::7]:
+            acc = np.eye(n)
+            for x in w.letters:  # inverting on every use, as before caching
+                m = images[abs(x) - 1]
+                acc = acc @ (np.linalg.inv(m) if x < 0 else m)
+            want = _unit_det(acc)
+            assert np.array_equal(evaluate(g, w, wrapped), want)
+            assert np.array_equal(evaluate(g, w, images), want)
+
+    def test_singular_generator_rejected(self):
+        with pytest.raises(GroupDataError, match="singular"):
+            make_generator_set([np.zeros((2, 2)), np.eye(2)], "schottky-free")
 
     def test_long_word_still_usable(self):
         g = octagon_fuchsian()
