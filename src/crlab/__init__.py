@@ -2,9 +2,9 @@
 
 The package builds representations of surface/free groups into SL(n, R),
 samples the boundary circle through fixed points of hyperbolic elements,
-evaluates cross ratios attached to limit curves, and checks the functional
-equations, determinant rank conditions, period formulas, reconstruction and
-symplectic identities that characterise these cross ratios.
+evaluates cross ratios attached to limit curves, and checks their defining
+axioms, invariance under the group, periods, the projective-line relations
+and the flow a cross ratio generates.
 """
 
 __all__ = ["projlin", "surfgrp", "crossratio"]

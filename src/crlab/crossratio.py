@@ -63,7 +63,6 @@ class CrossRatioFn:
 
     evaluator: callable
     label: str
-    angle_evaluable: bool = False
     indexed: callable = None
 
     def __call__(self, x, y, z, t):
@@ -80,15 +79,6 @@ class CrossRatioFn:
         pts = sample.points
         return np.array([self.evaluator(pts[x], pts[y], pts[z], pts[t])
                          for x, y, z, t in idx.tolist()], float)
-
-    def on_quadruple(self, q):
-        return self.evaluator(*q.points())
-
-    def at_angles(self, ax, ay, az, at):
-        if not self.angle_evaluable:
-            raise DomainError(f"{self.label} cannot evaluate at raw angles")
-        pts = [BoundaryPoint.from_angle(a) for a in (ax, ay, az, at)]
-        return self.evaluator(*pts)
 
 
 # -- classical cross ratio ----------------------------------------------------
@@ -131,7 +121,7 @@ def classical_cr_fn():
     def ev(x, y, z, t):
         return classical_cr(x.line, y.line, z.line, t.line)
 
-    return CrossRatioFn(evaluator=ev, label="classical", angle_evaluable=True)
+    return CrossRatioFn(evaluator=ev, label="classical")
 
 
 # -- curves and their pairing cross ratio ------------------------------------
@@ -141,11 +131,9 @@ class CurvePair:
     """A curve in P(R^n) and a dual curve in P(R^n*) over the boundary circle."""
 
     n: int
-    mode: str                # "veronese-closed-form" | "eigen-sampled" | ...
     xi_fn: callable          # BoundaryPoint -> unit vector
     xistar_fn: callable      # BoundaryPoint -> unit covector
-    label: str = ""
-    angle_evaluable: bool = False
+    label: str
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     def xi(self, p):
@@ -220,9 +208,7 @@ def veronese_pair(n):
     def xistar(p):
         return veronese_dual(n, p.line).cov
 
-    return CurvePair(n=n, mode="veronese-closed-form", xi_fn=xi,
-                     xistar_fn=xistar, label=f"veronese-{n}",
-                     angle_evaluable=True)
+    return CurvePair(n=n, xi_fn=xi, xistar_fn=xistar, label=f"veronese-{n}")
 
 
 def _dominant_vector(m):
@@ -254,7 +240,7 @@ def representation_pair(gens, rep, n, label=""):
         return _eigen_data(cache, gens, rep, p.word, p.sign)
 
     return CurvePair(
-        n=n, mode="eigen-sampled",
+        n=n,
         xi_fn=lambda p: data(p)[0],
         xistar_fn=lambda p: data(p)[1],
         label=label or f"rep-{n}",
@@ -317,8 +303,7 @@ def curve_cr_fn(pair):
     def ev(x, y, z, t):
         return curve_cr(pair, (x, y, z, t))
 
-    return CrossRatioFn(evaluator=ev, label=pair.label or pair.mode,
-                        angle_evaluable=pair.angle_evaluable,
+    return CrossRatioFn(evaluator=ev, label=pair.label,
                         indexed=lambda sample, idx: pair.table(sample).curve_cr(idx))
 
 
@@ -330,7 +315,6 @@ def dual_cr(b):
     return CrossRatioFn(
         evaluator=lambda x, y, z, t: b(y, x, t, z),
         label=f"dual({b.label})",
-        angle_evaluable=b.angle_evaluable,
         indexed=lambda sample, idx: b.on_indices(sample, idx[:, _DUAL]),
     )
 
@@ -648,10 +632,9 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t, flow_tol=1e-12):
     that contains x0, in either orientation.
 
     Monotone bisection over the circle coordinate; needs an evaluator that
-    accepts synthetic angle points.
+    accepts synthetic angle points.  An eigen-sampled curve's evaluator
+    raises DomainError at them.
     """
-    if not b.angle_evaluable:
-        raise DomainError(f"{b.label} cannot drive the flow (no angle evaluation)")
     lo, mid, hi = _unwrap_arc(
         x_minus.circle_coord, x_zero.circle_coord, x_plus.circle_coord
     )

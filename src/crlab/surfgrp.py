@@ -3,7 +3,10 @@
 The boundary circle is modeled as RP^1 with the coordinate phi = 2*theta,
 theta the angle of a line in R^2.  All boundary points come from fixed
 points of hyperbolic elements of the base 2x2 representation; an SL(n,R)
-representation is always carried alongside that base data.
+representation is always carried alongside that base data.  The image of a
+word is the plain product of its letters' matrices (`evaluate`), never
+rescaled: everything read off it is projective or an eigenvalue of a
+unimodular product.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +19,6 @@ from .projlin import normalize_rep
 TWO_PI = 2.0 * np.pi
 DEDUP_TOL = 1e-9          # radians between distinct boundary points
 HYPERBOLIC_TOL = 1e-6     # |trace| must exceed 2 + this
-_RENORM_EVERY = 8         # determinant cleanup period in word products
 
 GENUS2_RELATOR = (1, 2, -1, -2, 3, 4, -3, -4)
 
@@ -273,38 +275,27 @@ def enumerate_words(gens, max_len):
 
 
 def evaluate(gens, word, rep=None):
-    """Ordered product of generator images along a word.
+    """Plain ordered product of generator images along a word.
 
-    `rep` defaults to the base 2x2 matrices; pass the SL(n,R) generator
-    images for a composed representation, best as a GeneratorSet so that
-    their inverses are not recomputed on every call.  The running product is
-    rescaled to unit determinant every few factors to stop drift on long
-    words.
+    `rep` defaults to the base 2x2 matrices; pass a GeneratorSet of SL(n,R)
+    images for a composed representation.
+
+    The product is not rescaled.  Limit-curve values, fixed points and
+    eigenvalue ratios are projective, so its scale never enters them, and
+    the base generators are validated unimodular, so a base product has
+    determinant 1 up to rounding and its eigenvalues are the group's.
+    Dividing by a computed determinant would add that determinant's
+    cancellation error, and fails outright on an ill-conditioned product
+    whose determinant rounds to 0.
     """
     if rep is None:
         rep = gens
-    elif not isinstance(rep, GeneratorSet):
-        rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep), gens.kind)
     if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
     acc = np.eye(rep.matrices[0].shape[0])
-    for k, x in enumerate(word.letters, start=1):
+    for x in word.letters:
         acc = acc @ rep.letter_matrix(x)
-        if k % _RENORM_EVERY == 0:
-            acc = _unit_det(acc)
-    return _unit_det(acc)
-
-
-def _unit_det(m):
-    d = np.linalg.det(m)
-    if d == 0 or not np.isfinite(d):
-        raise GroupDataError("singular word matrix")
-    n = m.shape[0]
-    if d > 0:
-        return m / d ** (1.0 / n)
-    if n % 2 == 1:
-        return m / (-((-d) ** (1.0 / n)))
-    return m / (-d) ** (1.0 / n)  # sign is projectively irrelevant
+    return acc
 
 
 # -- boundary points ---------------------------------------------------------
@@ -329,11 +320,6 @@ class BoundaryPoint:
         return BoundaryPoint(
             word=None, sign="synthetic", circle_coord=phi, line=line_of_angle(phi)
         )
-
-    def key(self):
-        if self.word is None:
-            return ("angle", round(self.circle_coord, 12))
-        return (self.word.letters, self.sign)
 
 
 def line_of_angle(phi):

@@ -8,7 +8,7 @@ from crlab.crossratio import (
     embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
     representation_pair, triple_ratio, veronese_pair,
 )
-from crlab.projlin import veronese, veronese_dual
+from crlab.projlin import sym_power_rep, veronese, veronese_dual
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GroupDataError, Word, circular_gap, enumerate_words,
     evaluate, fixed_points_2x2, translate_point,
@@ -93,11 +93,22 @@ class TestCurveCrossRatio:
                 b = curve_cr(pair_v, tuple(pts))
                 assert a == pytest.approx(b, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_sample_values_evaluate_at_high_n(self, octagon, sample_l3, n):
+        # the determinant of an ill-conditioned Sym^(n-1) word product
+        # rounds to 0; word products are not divided by it, so no point
+        # raises "singular word matrix"
+        images = [sym_power_rep(n, m) for m in octagon.matrices]
+        pair = representation_pair(octagon, images, n)
+        for p in sample_l3.points:
+            assert np.all(np.isfinite(pair.xi(p)))
+            assert np.all(np.isfinite(pair.xistar(p)))
+
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
         rng = np.random.default_rng(6)
         scaled = type(pair)(
-            n=pair.n, mode=pair.mode,
+            n=pair.n,
             xi_fn=lambda p: rng.uniform(0.2, 5.0) * pair.xi(p),
             xistar_fn=lambda p: rng.uniform(0.2, 5.0) * pair.xistar(p),
             label="scaled",
@@ -379,6 +390,18 @@ class TestFlow:
                                self.x_plus, t).circle_coord
             assert (0.0 < got < 2.0) if t > 0 else (2.0 < got < 4.0)
 
+    def test_eigen_sampled_curve_cannot_drive_the_flow(
+            self, octagon, sample_l2, sym_reps):
+        # the flow evaluates b at synthetic points, where an eigen-sampled
+        # curve has no eigen-data; its dual fails the same way
+        b = rep_cross_ratio(octagon, sym_reps, 3)
+        pts = sample_l2.points
+        x_minus, x_zero, x_plus = (pts[k * len(pts) // 3] for k in range(3))
+        for fn in (b, dual_cr(b)):
+            for t in (0.5, -0.5):
+                with pytest.raises(DomainError, match="worded boundary point"):
+                    flow_from_cr(fn, x_minus, x_zero, x_plus, t)
+
     def test_period_recovery(self, octagon, sample_l2, sym_reps):
         # flowing by the period from y lands on the image of y
         b = curve_cr_fn(veronese_pair(3))
@@ -514,7 +537,7 @@ class TestBatchedChecks:
 
         fns = {"xi_fn": base.xi_fn, "xistar_fn": base.xistar_fn}
         fns[f"{side}_fn"] = fails_at(fns[f"{side}_fn"])
-        b = curve_cr_fn(CurvePair(n=3, mode="test", label="broken", **fns))
+        b = curve_cr_fn(CurvePair(n=3, label="broken", **fns))
         for check in (check_axioms, check_relation13):
             for seed in range(6):
                 got = outcome(check, b, sample_l2, seed)

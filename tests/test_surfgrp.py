@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from crlab.projlin import sym_power_rep
 from crlab.surfgrp import (
-    GENUS2_RELATOR, GeneratorSet, GroupDataError, Word, _unit_det,
+    GENUS2_RELATOR, GeneratorSet, GroupDataError, Word,
     act_on_angle, angle_of_line, circular_gap, conjugate_split, cyclic_reduce,
     enumerate_words, evaluate, fixed_points_2x2, line_of_angle,
     make_generator_set, octagon_fuchsian, sample_boundary, schottky,
@@ -102,9 +104,23 @@ class TestEvaluate:
             for x in w.letters:  # inverting on every use, as before caching
                 m = images[abs(x) - 1]
                 acc = acc @ (np.linalg.inv(m) if x < 0 else m)
-            want = _unit_det(acc)
-            assert np.array_equal(evaluate(g, w, wrapped), want)
-            assert np.array_equal(evaluate(g, w, images), want)
+            assert np.array_equal(evaluate(g, w, wrapped), acc)
+
+    @pytest.mark.parametrize("letters", [(1, 2, 3, 4) * 3, (2, 1) * 5])
+    def test_eigenvalue_matches_exact_product(self, letters):
+        # reference: the exact rational product of the float generators,
+        # whose determinants are 1 only up to rounding
+        g = octagon_fuchsian()
+        exact = np.identity(2, dtype=object)
+        to_fraction = np.vectorize(Fraction, otypes=[object])
+        for x in letters:
+            exact = exact @ to_fraction(g.matrices[x - 1])
+        tr = abs(exact.trace())
+        det = exact[0, 0] * exact[1, 1] - exact[0, 1] * exact[1, 0]
+        want = 0.5 * (float(tr) + np.sqrt(float(tr * tr - 4 * det)))
+        w = Word.of(*letters)
+        att, _ = fixed_points_2x2(evaluate(g, w), word=w)
+        assert abs(att.eigenvalue - want) <= 1e-13 * want
 
     def test_singular_generator_rejected(self):
         with pytest.raises(GroupDataError, match="singular"):
