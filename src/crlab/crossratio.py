@@ -1,9 +1,10 @@
 """Cross-ratio evaluators on the boundary circle and their functional checks.
 
 A cross ratio is a four-point function b(x, y, z, t) defined for x != t,
-y != z.  The evaluators here come from three sources: the classical one on
-RP^1, pairing quotients of a limit curve and its dual, and reconstructed
-coordinate curves.
+y != z.  The evaluators here are the classical one on RP^1 and pairing
+quotients of a limit curve and its dual.  Otal's horoball-length
+combination (`otal_cr_hyperbolic`) is computed on angles, as an independent
+form of the classical one.
 
 Every evaluator takes four boundary points, and also rows of indices into a
 SampleSet (`CrossRatioFn.on_indices`).  On a sample set the pairing cross
@@ -19,38 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .projlin import normalize_rep, veronese, veronese_dual
+from .projlin import dominant_line, normalize_rep, veronese, veronese_dual
 from .surfgrp import (
-    BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
-    circular_gap, conjugate_split, evaluate, fixed_points_2x2, translate_point,
+    BoundaryPoint, DEDUP_TOL, GeneratorSet, TWO_PI, Word, circular_gap,
+    conjugate_split, evaluate, fixed_points_2x2, translate_point,
 )
 
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
 DEFAULT_MIN_GAP = 1e-3   # angular floor for randomly drawn tuples
+DRAW_TRIES = 400         # rejected draws before a tuple draw gives up
+FLOW_TOL = 1e-12         # bisection width at which the flow stops
 
 
 class DomainError(ValueError):
-    """Quadruple outside the x != t, y != z domain, or degenerate pairing."""
-
-
-@dataclass(frozen=True, eq=False)
-class Quadruple:
-    x: BoundaryPoint
-    y: BoundaryPoint
-    z: BoundaryPoint
-    t: BoundaryPoint
-
-    def __post_init__(self):
-        if circular_gap(self.x.circle_coord, self.t.circle_coord) <= DEDUP_TOL:
-            raise DomainError("quadruple needs x != t")
-        if circular_gap(self.y.circle_coord, self.z.circle_coord) <= DEDUP_TOL:
-            raise DomainError("quadruple needs y != z")
-
-    def points(self):
-        return (self.x, self.y, self.z, self.t)
-
-    def angles(self):
-        return tuple(p.circle_coord for p in self.points())
+    """A quadruple outside the x != t, y != z domain, or a degenerate pairing."""
 
 
 @dataclass(eq=False)
@@ -203,20 +186,12 @@ def veronese_pair(n):
     """Closed-form moment curve with its osculating dual; evaluable anywhere."""
 
     def xi(p):
-        return veronese(n, p.line).rep
+        return veronese(n, p.line)
 
     def xistar(p):
-        return veronese_dual(n, p.line).cov
+        return veronese_dual(n, p.line)
 
     return CurvePair(n=n, xi_fn=xi, xistar_fn=xistar, label=f"veronese-{n}")
-
-
-def _dominant_vector(m):
-    w, v = np.linalg.eig(m)
-    k = int(np.argmax(np.abs(w)))
-    if abs(w[k].imag) > 1e-9 * abs(w[k]):
-        raise GroupDataError("dominant eigenvalue is not real")
-    return normalize_rep(v[:, k].real)
 
 
 def representation_pair(gens, rep, n, label=""):
@@ -262,9 +237,9 @@ def _eigen_data(cache, gens, rep, word, sign):
             m = evaluate(gens, word, rep)
             mi = evaluate(gens, word.inverse(), rep)
             if sign == "attracting":
-                got = (_dominant_vector(m), _dominant_vector(mi.T))
+                got = (dominant_line(m), dominant_line(mi.T))
             else:
-                got = (_dominant_vector(mi), _dominant_vector(m.T))
+                got = (dominant_line(mi), dominant_line(m.T))
         else:
             v, c = conjugate_split(word)
             xi, xistar = _eigen_data(cache, gens, rep, c, sign)
@@ -275,12 +250,12 @@ def _eigen_data(cache, gens, rep, word, sign):
 
 
 def curve_cr(pair, q):
-    """Pairing-quotient cross ratio of a curve pair on a quadruple.
+    """Pairing-quotient cross ratio of a curve pair on q = (x, y, z, t).
 
     Independent of representative scalings by construction; degenerate
     denominators raise with the offending pairing named.
     """
-    x, y, z, t = q.points() if isinstance(q, Quadruple) else q
+    x, y, z, t = q
     vx, vz = pair.xi(x), pair.xi(z)
     cy, ct = pair.xistar(y), pair.xistar(t)
     num = (vx @ cy) * (vz @ ct)
@@ -321,7 +296,7 @@ def dual_cr(b):
 
 # -- seeded tuple streams and the shared check loop ---------------------------
 
-def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP, tries=400):
+def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     """count rows of k distinct indices into sample.points whose points lie
     pairwise more than min_gap apart on the circle.
 
@@ -334,7 +309,7 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP, tries=400):
     angles = sample.angles().tolist()
     out = np.empty((count, k), dtype=np.intp)
     for row in out:
-        for _ in range(tries):
+        for _ in range(DRAW_TRIES):
             idx = rng.choice(n, size=k, replace=False)
             a = [angles[i] for i in idx.tolist()]
             if all(circular_gap(p, q) > min_gap
@@ -346,9 +321,9 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP, tries=400):
     return out
 
 
-def draw_points(sample, rng, k, min_gap=DEFAULT_MIN_GAP, tries=400):
+def draw_points(sample, rng, k, min_gap=DEFAULT_MIN_GAP):
     """k distinct sample points with pairwise circular gap above min_gap."""
-    row = draw_indices(sample, rng, k, 1, min_gap, tries)[0]
+    row = draw_indices(sample, rng, k, 1, min_gap)[0]
     return [sample.points[i] for i in row]
 
 
@@ -627,7 +602,7 @@ def _unwrap_arc(a_minus, a_zero, a_plus):
     return s * lo, s * mid, s * hi
 
 
-def flow_from_cr(b, x_minus, x_zero, x_plus, t, flow_tol=1e-12):
+def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     """The point x_t with b(x+, x0, x-, x_t) = e^t on the arc from x- to x+
     that contains x0, in either orientation.
 
@@ -666,6 +641,6 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t, flow_tol=1e-12):
             p = m
         else:
             q = m
-        if abs(q - p) < flow_tol:
+        if abs(q - p) < FLOW_TOL:
             break
     return BoundaryPoint.from_angle(0.5 * (p + q) % TWO_PI)

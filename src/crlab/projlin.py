@@ -1,23 +1,20 @@
-"""Projective linear algebra: points, hyperplanes, eigen-splittings, flags.
+"""Projective linear algebra: unit representatives, the moment curve and the
+dominant eigenline of a matrix.
 
-Everything here is small dense linear algebra (n <= ~12).  Matrices coming
-from long words in a group can have huge norms, so eigen data is always
-extracted two-sidedly (from M and M^-1) and eigenvalues are recomputed by
-Rayleigh quotients; this keeps eigenvectors and log-eigenvalue ratios
-accurate even when the raw spectrum spans many orders of magnitude.
+Everything here is small dense linear algebra (n <= ~12).  A point of
+P(R^n) or of its dual is carried as a unit vector with its first
+significant coordinate positive (`normalize_rep`).  Limit-curve values are
+eigenlines of word images, read off by the one eigen routine
+`dominant_line`.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
-GAP_TOL = 1e-6        # minimal relative gap between consecutive |eigenvalues|
-ANGLE_TOL = 1e-9      # angular tolerance for projective equality
 _SIG = 1e-12          # threshold for "first nonzero coordinate"
 
 
 class SpectrumError(ValueError):
-    """Raised when a matrix is not real-split with separated moduli."""
+    """Raised when a matrix's dominant eigenvalue is not real."""
 
 
 def normalize_rep(v):
@@ -35,114 +32,26 @@ def normalize_rep(v):
     return v
 
 
-def angular_distance(v, w):
-    """Angle between the lines spanned by v and w (in [0, pi/2])."""
-    v = np.asarray(v, float)
-    w = np.asarray(w, float)
-    c = abs(float(v @ w)) / (np.linalg.norm(v) * np.linalg.norm(w))
-    return float(np.arccos(min(1.0, c)))
-
-
-@dataclass(frozen=True, eq=False)
-class ProjPoint:
-    """A point of P(R^n), stored as a normalized representative vector."""
-
-    rep: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rep", normalize_rep(self.rep))
-
-    @property
-    def dim(self):
-        return len(self.rep)
-
-    def same_as(self, other, tol=ANGLE_TOL):
-        return angular_distance(self.rep, other.rep) < tol
-
-
-@dataclass(frozen=True, eq=False)
-class ProjHyperplane:
-    """A hyperplane of R^n, stored as a normalized annihilating covector."""
-
-    cov: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cov", normalize_rep(self.cov))
-
-    @property
-    def dim(self):
-        return len(self.cov)
-
-    def same_as(self, other, tol=ANGLE_TOL):
-        return angular_distance(self.cov, other.cov) < tol
-
-    def pairing(self, point):
-        """Normalized pairing with a ProjPoint; zero iff the point lies on it."""
-        return float(self.cov @ point.rep)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenSplit:
-    """Real spectrum sorted by decreasing |eigenvalue| with unit eigenvectors.
-
-    `vectors[i]` is the right eigenvector for `values[i]`; `left[i]` the left
-    one (row of the inverse eigenvector matrix), so `left[i]` annihilates
-    every `vectors[j]`, j != i.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray      # shape (n, n), row i = eigenvector i
-    left: np.ndarray         # shape (n, n), row i = left eigenvector i
-    source: np.ndarray = field(repr=False)
-
-    @property
-    def n(self):
-        return len(self.values)
-
-    def log_ratio_extremes(self):
-        """log |lambda_max / lambda_min|."""
-        return float(np.log(abs(self.values[0])) - np.log(abs(self.values[-1])))
-
-
-@dataclass(frozen=True, eq=False)
-class Flag:
-    """Nested subspaces of dimensions 1..n-1, each an orthonormal row block."""
-
-    blocks: tuple  # blocks[p-1]: array (p, n), orthonormal rows spanning xi^p
-
-    @property
-    def n(self):
-        return self.blocks[0].shape[1]
-
-    def subspace(self, p):
-        return self.blocks[p - 1]
-
-    def line(self):
-        return ProjPoint(self.blocks[0][0])
-
-    def hyperplane(self):
-        """The top block as a ProjHyperplane (annihilator of xi^{n-1})."""
-        q, _ = np.linalg.qr(self.blocks[-1].T, mode="complete")
-        return ProjHyperplane(q[:, -1])
-
-
 def veronese(n, p):
-    """Moment-curve embedding RP^1 -> P(R^n), [x:y] -> [x^(n-1) : ... : y^(n-1)]."""
+    """Moment-curve embedding RP^1 -> P(R^n), [x:y] -> [x^(n-1) : ... : y^(n-1)].
+
+    Returns the unit representative of the image of the line p.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    x, y = p.rep if isinstance(p, ProjPoint) else normalize_rep(p)
-    return ProjPoint(np.array([x ** (n - 1 - i) * y ** i for i in range(n)]))
+    x, y = normalize_rep(p)
+    return normalize_rep(np.array([x ** (n - 1 - i) * y ** i for i in range(n)]))
 
 
 def veronese_dual(n, p):
     """Covector of the osculating hyperplane of the moment curve at p.
 
     Its pairing with veronese(n, q) is det([p q])^(n-1), so it vanishes
-    exactly at q = p.
+    exactly at q = p.  Returns a unit covector.
     """
-    x, y = p.rep if isinstance(p, ProjPoint) else normalize_rep(p)
+    x, y = normalize_rep(p)
     comb = [float(c) for c in _binomials(n - 1)]
-    return ProjHyperplane(
+    return normalize_rep(
         np.array([comb[i] * x ** i * (-y) ** (n - 1 - i) for i in range(n)])
     )
 
@@ -185,133 +94,16 @@ def _pow_coeffs(u, v, m):
     return np.array([comb[k] * u ** (m - k) * v ** k for k in range(m + 1)])
 
 
-def eigen_split(mat, inverse=None):
-    """Full real eigen-splitting with strictly separated moduli.
+def dominant_line(m):
+    """Unit representative of the eigenline of m's largest |eigenvalue|.
 
-    Raises SpectrumError when the spectrum is not purely real or when two
-    consecutive moduli are closer than GAP_TOL relatively.  When `mat` is a
-    long word product whose condition number exceeds float range, pass
-    `inverse` computed structurally (product of inverse factors); the
-    bottom half of the splitting is extracted from it.
+    Raises SpectrumError when that eigenvalue is not real.
     """
-    mat = np.asarray(mat, float)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    if inverse is None:
-        try:
-            inverse = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            raise SpectrumError("matrix is singular")
-    else:
-        inverse = np.asarray(inverse, float)
-
-    w_f, v_f = np.linalg.eig(mat)
-    w_b, v_b = np.linalg.eig(inverse)
-    rho = max(np.max(np.abs(w_f)), 1e-300)
-    rho_b = max(np.max(np.abs(w_b)), 1e-300)
-    if np.max(np.abs(w_f.imag)) > 1e-9 * rho or np.max(np.abs(w_b.imag)) > 1e-9 * rho_b:
-        raise SpectrumError(f"complex spectrum: {np.sort_complex(w_f)}")
-
-    # Top half of the spectrum from mat, bottom half from its inverse: the
-    # dominant eigen-data of each factor is the numerically reliable part.
-    order_f = np.argsort(-np.abs(w_f.real))
-    order_b = np.argsort(-np.abs(w_b.real))
-    vectors = np.empty((n, n))
-    values = np.empty(n)
-    half = (n + 1) // 2
-    for i in range(n):
-        from_fwd = i < half
-        col = order_f[i] if from_fwd else order_b[n - 1 - i]
-        src = v_f if from_fwd else v_b
-        vectors[i] = normalize_rep(np.real(src[:, col]))
-        # Rayleigh cleanup at the dominant component, against whichever of
-        # mat / inverse resolves this eigenvalue accurately
-        k = int(np.argmax(np.abs(vectors[i])))
-        if from_fwd:
-            values[i] = (mat @ vectors[i])[k] / vectors[i][k]
-        else:
-            values[i] = vectors[i][k] / (inverse @ vectors[i])[k]
-
-    order = np.argsort(-np.abs(values))
-    values, vectors = values[order], vectors[order]
-
-    for i in range(n - 1):
-        hi, lo = abs(values[i]), abs(values[i + 1])
-        if lo == 0 or hi / lo < 1.0 + GAP_TOL:
-            raise SpectrumError(
-                f"eigenvalue moduli not separated: {hi!r} vs {lo!r}"
-            )
-
-    scale = np.linalg.norm(mat, 2)
-    for i in range(n):
-        res = np.linalg.norm(mat @ vectors[i] - values[i] * vectors[i])
-        if res > 1e-10 * scale:
-            raise SpectrumError(f"eigenpair residual {res:.3e} too large")
-
-    left = np.linalg.inv(vectors.T)   # row i annihilates vectors[j], j != i
-    left = np.array([normalize_rep(row) for row in left])
-    return EigenSplit(values=values, vectors=vectors, left=left, source=mat)
-
-
-def flag_from_eigen(split):
-    """Osculating flag at an attracting fixed point: spans of top eigenlines."""
-    n = split.n
-    blocks = []
-    for p in range(1, n):
-        q, _ = np.linalg.qr(split.vectors[:p].T)
-        blocks.append(q.T.copy())
-    return Flag(blocks=tuple(blocks))
-
-
-def attracting_covector(split):
-    """Covector of the attracting hyperplane: left eigenvector of the bottom
-    eigenvalue, which annihilates the top n-1 eigenlines."""
-    return ProjHyperplane(split.left[-1])
-
-
-def osculating_flag_veronese(n, p):
-    """Closed-form osculating flag of the moment curve at p in RP^1.
-
-    Block p is spanned by the 0th..(p-1)th derivatives of the curve along
-    any parametrization transverse to p; binomial formulas, no limits.
-    """
-    x, y = p.rep if isinstance(p, ProjPoint) else normalize_rep(p)
-    a, b = -y, x  # transverse direction
-    m = n - 1
-
-    def du(power, j):
-        # j-th derivative of (x + s a)^power at s = 0
-        if j > power:
-            return 0.0
-        c = 1.0
-        for t in range(j):
-            c *= power - t
-        return c * x ** (power - j) * a ** j
-
-    def dv(power, j):
-        if j > power:
-            return 0.0
-        c = 1.0
-        for t in range(j):
-            c *= power - t
-        return c * y ** (power - j) * b ** j
-
-    comb_cache = {k: _binomials(k) for k in range(n)}
-    derivs = np.zeros((n - 1, n))
-    for k in range(n - 1):
-        comb = comb_cache[k]
-        for i in range(n):
-            acc = 0.0
-            for j in range(k + 1):
-                acc += comb[j] * du(m - i, j) * dv(i, k - j)
-            derivs[k, i] = acc
-
-    blocks = []
-    for p_dim in range(1, n):
-        q, _ = np.linalg.qr(derivs[:p_dim].T)
-        blocks.append(q.T.copy())
-    return Flag(blocks=tuple(blocks))
+    w, v = np.linalg.eig(m)
+    k = int(np.argmax(np.abs(w)))
+    if abs(w[k].imag) > 1e-9 * abs(w[k]):
+        raise SpectrumError("dominant eigenvalue is not real")
+    return normalize_rep(v[:, k].real)
 
 
 def spanning_det(vectors):

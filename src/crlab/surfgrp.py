@@ -92,10 +92,6 @@ def conjugate_split(word):
     return Word(ls[:k]), Word(ls[k:len(ls) - k])
 
 
-def cyclic_reduce(word):
-    return conjugate_split(word)[1]
-
-
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
     """Generator matrices plus the presentation kind.
@@ -221,21 +217,15 @@ def octagon_fuchsian():
     return make_generator_set(mats, "cocompact-genus-2")
 
 
-def schottky(t1, t2, separation=0.5):
+def schottky(t1, t2):
     """Rank-2 free group: two hyperbolic matrices with crossed axes.
 
     The first axis has endpoints at circle coordinates {0, pi}, the second
-    at {pi/2, 3 pi/2}; `separation` is the smallest admissible angular gap
-    between endpoint coordinates.
+    at {pi/2, 3 pi/2}, whatever the traces.
     """
     for t in (t1, t2):
         if t <= 2.0 + HYPERBOLIC_TOL:
             raise GroupDataError(f"trace {t!r} is not hyperbolic")
-    min_gap = np.pi / 2  # endpoint configuration is fixed by construction
-    if separation >= min_gap:
-        raise GroupDataError(
-            f"axis endpoints separated by {min_gap:.3f} < separation {separation!r}"
-        )
 
     def hyp(t):
         lam = 0.5 * (t + np.sqrt(t * t - 4.0))
@@ -400,10 +390,10 @@ class SampleSet:
         return np.array([p.circle_coord for p in self.points])
 
 
-def sample_boundary(gens, max_len, dedup_tol=DEDUP_TOL):
+def sample_boundary(gens, max_len):
     """Fixed points of all enumerated words, deduplicated and sorted.
 
-    On a coincidence within `dedup_tol` radians the point of the shorter
+    On a coincidence within DEDUP_TOL radians the point of the shorter
     word wins (better conditioned eigen-data).
     """
     pts = []
@@ -414,13 +404,13 @@ def sample_boundary(gens, max_len, dedup_tol=DEDUP_TOL):
     pts.sort(key=lambda p: (p.circle_coord, len(p.word), p.word.letters))
     kept = []
     for p in pts:
-        if kept and p.circle_coord - kept[-1].circle_coord <= dedup_tol:
+        if kept and p.circle_coord - kept[-1].circle_coord <= DEDUP_TOL:
             if len(p.word) < len(kept[-1].word):
                 kept[-1] = p
             continue
         kept.append(p)
     # wrap-around duplicate
-    if len(kept) > 1 and circular_gap(kept[0].circle_coord, kept[-1].circle_coord) <= dedup_tol:
+    if len(kept) > 1 and circular_gap(kept[0].circle_coord, kept[-1].circle_coord) <= DEDUP_TOL:
         if len(kept[-1].word) < len(kept[0].word):
             kept[0] = kept[-1]
         kept.pop()

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from crlab.crossratio import (
-    CrossRatioFn, CurvePair, DomainError, Quadruple, check_axioms,
+    CrossRatioFn, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
     embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
     representation_pair, triple_ratio, veronese_pair,
 )
-from crlab.projlin import sym_power_rep, veronese, veronese_dual
+from crlab.projlin import SpectrumError, sym_power_rep, veronese, veronese_dual
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GroupDataError, Word, circular_gap, enumerate_words,
     evaluate, fixed_points_2x2, translate_point,
@@ -104,6 +104,29 @@ class TestCurveCrossRatio:
             assert np.all(np.isfinite(pair.xi(p)))
             assert np.all(np.isfinite(pair.xistar(p)))
 
+    def test_non_real_dominant_eigenvalue_raises(
+            self, octagon, sample_l2, sym_reps):
+        # first generator mapped to a rotation by 0.7 in a plane, scaled
+        # by 2 there and by 1/4 on its axis: rho(a) has dominant eigenvalues
+        # 2 exp(+-0.7 i), so the curve has no value at the attracting fixed
+        # point of a, sampled as the repelling one of a^-1
+        c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
+        spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
+        pair = representation_pair(octagon, (spin,) + sym_reps[3][1:], 3)
+        p = next(p for p in sample_l2.points
+                 if p.word == Word.of(-1) and p.sign == "repelling")
+        with pytest.raises(SpectrumError, match="not real"):
+            pair.xi(p)
+        # a check re-raises the error stored with the table's NaN row
+        with pytest.raises(SpectrumError, match="not real") as raised:
+            check_axioms(curve_cr_fn(pair), sample_l2, 100)
+        table = pair.table(sample_l2)
+        rows = [i for errs, arr in ((table.xi_errors, table.xi),
+                                    (table.xistar_errors, table.xistar))
+                for i, exc in errs.items() if exc is raised.value
+                and np.all(np.isnan(arr[i]))]
+        assert len(rows) == 1
+
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
         rng = np.random.default_rng(6)
@@ -137,9 +160,9 @@ def worst_moved_error(octagon, sample, sym_reps, n):
                 continue
             q = translate_point(octagon, Word.of(g), p)
             worst = max(worst,
-                        sine_distance(pair.xi(q), veronese(n, q.line).rep),
+                        sine_distance(pair.xi(q), veronese(n, q.line)),
                         sine_distance(pair.xistar(q),
-                                      veronese_dual(n, q.line).cov))
+                                      veronese_dual(n, q.line)))
     return worst
 
 
@@ -459,20 +482,6 @@ class TestDual:
         y = sample_l2.points[8]
         assert period(bd, octagon, w, y) == pytest.approx(
             period(b, octagon, w, y), abs=1e-9)
-
-
-class TestQuadrupleDomain:
-    def test_rejects_equal_ends(self, sample_l2):
-        p = sample_l2.points
-        with pytest.raises(DomainError):
-            Quadruple(p[0], p[1], p[2], p[0])
-        with pytest.raises(DomainError):
-            Quadruple(p[0], p[1], p[1], p[2])
-
-    def test_accepts_valid(self, sample_l2):
-        p = sample_l2.points
-        q = Quadruple(p[0], p[1], p[2], p[3])
-        assert len(q.points()) == 4
 
 
 def looped(b):

@@ -1,7 +1,30 @@
+import ast
+import importlib
+from pathlib import Path
+
 import crlab
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from crlab import *", namespace)
     assert set(crlab.__all__) <= set(namespace)
+
+
+def test_benchmark_uses_only_existing_names():
+    # the benchmark reaches crlab through module aliases (`cr.period`); a
+    # name it uses that the package no longer has would break its import
+    # or its ops
+    tree = ast.parse(WORKLOADS.read_text())
+    aliases = {a.asname: importlib.import_module(a.name)
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name.startswith("crlab.") and a.asname}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    assert set(aliases) == {"cr", "pl", "sg"}
+    missing = [f"{mod}.{name}" for mod, name in sorted(used)
+               if not hasattr(aliases[mod], name)]
+    assert used and not missing, missing

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from crlab.projlin import (
-    Flag, ProjPoint, SpectrumError, attracting_covector, eigen_split,
-    flag_from_eigen, normalize_rep, osculating_flag_veronese, spanning_det,
-    sym_power_rep, veronese, veronese_dual,
+    SpectrumError, dominant_line, normalize_rep, spanning_det, sym_power_rep,
+    veronese, veronese_dual,
 )
 
 
@@ -20,41 +19,44 @@ def random_sl2(rng, max_log=0.7):
         rng.uniform(0, np.pi))
 
 
-def random_hyperbolic(rng, lam=3.0):
-    g = random_sl2(rng)
-    return g @ np.diag([lam, 1 / lam]) @ np.linalg.inv(g)
-
-
-def subspace_gap(block_a, block_b):
-    """Distance between row spans via orthogonal projectors."""
-    pa = block_a.T @ block_a
-    pb = block_b.T @ block_b
-    return np.linalg.norm(pa - pb)
+def sine_distance(v, w):
+    """Projective distance |v - (v.w) w| of the unit representatives."""
+    v = v / np.linalg.norm(v)
+    w = w / np.linalg.norm(w)
+    return float(np.linalg.norm(v - (v @ w) * w))
 
 
 class TestVeronese:
     def test_all_ones(self):
         v = veronese(3, np.array([1.0, 1.0]))
-        assert v.same_as(ProjPoint(np.array([1.0, 1.0, 1.0])))
+        assert sine_distance(v, np.array([1.0, 1.0, 1.0])) < 1e-9
 
     def test_monomials(self):
         # oracle: evaluate the monomial basis x^2, xy, y^2 at (1, 2)
         x, y = 1.0, 2.0
         expected = np.array([x * x, x * y, y * y])
-        assert veronese(3, np.array([x, y])).same_as(ProjPoint(expected))
+        assert sine_distance(veronese(3, np.array([x, y])), expected) < 1e-9
 
     def test_n2_identity(self):
         p = np.array([0.3, -0.8])
-        assert veronese(2, p).same_as(ProjPoint(p))
+        assert sine_distance(veronese(2, p), p) < 1e-9
 
     def test_scale_invariance(self):
         a = veronese(5, np.array([2.0, 3.0]))
         b = veronese(5, np.array([-4.0, -6.0]))
-        assert a.same_as(b)
+        assert sine_distance(a, b) < 1e-9
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             veronese(3, np.array([0.0, 0.0]))
+
+    def test_unit_representatives(self):
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5):
+            p = rng.normal(size=2)
+            for v in (veronese(n, p), veronese_dual(n, p)):
+                assert abs(np.linalg.norm(v) - 1.0) < 1e-14
+                assert v[np.abs(v) > 1e-12][0] > 0
 
     def test_dual_pairing_vanishes_only_diagonally(self):
         rng = np.random.default_rng(5)
@@ -62,10 +64,26 @@ class TestVeronese:
             p = normalize_rep(rng.normal(size=2))
             q = normalize_rep(rng.normal(size=2))
             cov = veronese_dual(n, p)
-            assert abs(cov.pairing(veronese(n, p))) < 1e-12
+            assert abs(cov @ veronese(n, p)) < 1e-12
             det = p[0] * q[1] - p[1] * q[0]
             if abs(det) > 1e-3:
-                assert abs(cov.pairing(veronese(n, q))) > 1e-12
+                assert abs(cov @ veronese(n, q)) > 1e-12
+
+    def test_dual_is_osculating(self):
+        # paired with the moment vector of q, the dual covector at p is a
+        # fixed multiple of det([p q])^(n-1): it vanishes to order n-1 at
+        # p, so it annihilates the osculating hyperplane there
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4, 5):
+            p = normalize_rep(rng.normal(size=2))
+            cov = veronese_dual(n, p)
+            ratios = []
+            for _ in range(5):
+                x, y = rng.normal(size=2)
+                moments = np.array([x ** (n - 1 - i) * y ** i for i in range(n)])
+                det = p[0] * y - p[1] * x
+                ratios.append((cov @ moments) / det ** (n - 1))
+            assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
 
 class TestSymPower:
@@ -99,9 +117,9 @@ class TestSymPower:
             for _ in range(20):
                 a = random_sl2(rng)
                 p = rng.normal(size=2)
-                lhs = ProjPoint(sym_power_rep(n, a) @ veronese(n, p).rep)
+                lhs = sym_power_rep(n, a) @ veronese(n, p)
                 rhs = veronese(n, a @ p)
-                assert lhs.same_as(rhs, tol=1e-10)
+                assert sine_distance(lhs, rhs) < 1e-10
 
     def test_unit_determinant(self):
         rng = np.random.default_rng(3)
@@ -110,128 +128,15 @@ class TestSymPower:
             assert abs(np.linalg.det(sym_power_rep(n, a)) - 1.0) < 1e-12
 
 
-class TestEigenSplit:
-    def test_diagonal(self):
-        s = eigen_split(np.diag([4.0, 1.0, 0.25]))
-        assert np.allclose(s.values, [4.0, 1.0, 0.25])
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = 1.0
-            assert abs(abs(s.vectors[i] @ e) - 1.0) < 1e-12
-
-    def test_conjugated_sym_power(self):
-        rng = np.random.default_rng(11)
-        lam = 3.0
-        a = np.diag([lam, 1.0 / lam])
-        g = random_sl2(rng)
-        m = sym_power_rep(3, g @ a @ np.linalg.inv(g))
-        s = eigen_split(m)
-        assert np.allclose(s.values, [lam ** 2, 1.0, lam ** -2], rtol=1e-10)
+class TestDominantLine:
+    def test_negative_dominant_eigenvalue(self):
+        # the eigenline of -3 is the second axis, sign-normalized
+        got = dominant_line(np.diag([1.0, -3.0, 0.5]))
+        assert np.array_equal(got, [0.0, 1.0, 0.0])
 
     def test_rotation_rejected(self):
-        th = 0.7
-        r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(SpectrumError, match="complex"):
-            eigen_split(r)
-
-    def test_tied_moduli_rejected(self):
-        with pytest.raises(SpectrumError, match="separated"):
-            eigen_split(np.diag([2.0, 2.0 * (1 + 1e-9), 0.25]))
-
-    def test_left_right_duality(self):
-        rng = np.random.default_rng(13)
-        g = random_sl2(rng)
-        m = sym_power_rep(4, g @ np.diag([2.0, 0.5]) @ np.linalg.inv(g))
-        s = eigen_split(m)
-        for i in range(4):
-            for j in range(4):
-                pair = abs(s.left[i] @ s.vectors[j])
-                if i != j:
-                    assert pair < 1e-10
-
-    def test_huge_norm_words_stay_accurate(self):
-        # spectrum with extreme dynamic range, assembled as the pipeline
-        # does: symmetric powers of moderate factors, then products
-        rng = np.random.default_rng(17)
-        g = sym_power_rep(5, random_sl2(rng))
-        gi = np.linalg.inv(g)
-        lam = 900.0
-        d = np.array([lam ** 4, lam ** 2, 1.0, lam ** -2, lam ** -4])
-        s = eigen_split(g @ np.diag(d) @ gi, inverse=g @ np.diag(1 / d) @ gi)
-        # extremes and near-extremes are resolved exactly; the middle value
-        # is limited by |M| * eps in absolute terms
-        assert np.allclose(s.values[[0, 1, 3, 4]], d[[0, 1, 3, 4]], rtol=1e-8)
-        assert abs(s.values[2] - 1.0) < 1e-4
-        assert abs(s.log_ratio_extremes() - 8 * np.log(lam)) < 1e-9
-
-
-class TestFlags:
-    def test_diag_flag(self):
-        s = eigen_split(np.diag([4.0, 1.0, 0.25]))
-        f = flag_from_eigen(s)
-        assert subspace_gap(f.subspace(1), np.array([[1.0, 0, 0]])) < 1e-12
-        assert subspace_gap(
-            f.subspace(2), np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        ) < 1e-12
-
-    def test_conjugation_equivariance(self):
-        rng = np.random.default_rng(23)
-        base = np.diag([5.0, 1.2, 1 / 6.0])
-        g, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        fa = flag_from_eigen(eigen_split(base))
-        fb = flag_from_eigen(eigen_split(g @ base @ g.T))
-        for p in (1, 2):
-            assert subspace_gap(fb.subspace(p), fa.subspace(p) @ g.T) < 1e-9
-
-    def test_attracting_covector_annihilates_top(self):
-        rng = np.random.default_rng(29)
-        g = random_sl2(rng)
-        m = sym_power_rep(4, g @ np.diag([2.5, 0.4]) @ np.linalg.inv(g))
-        s = eigen_split(m)
-        cov = attracting_covector(s)
-        for i in range(3):
-            assert abs(cov.cov @ s.vectors[i]) < 1e-10
-
-    def test_n2_single_line(self):
-        s = eigen_split(np.array([[3.0, 1.0], [0.0, 1 / 3.0]]))
-        f = flag_from_eigen(s)
-        assert len(f.blocks) == 1
-        assert np.allclose(np.abs(f.blocks[0][0]), [1.0, 0.0], atol=1e-12)
-
-
-class TestOsculatingVeronese:
-    def test_at_basepoint(self):
-        # derivatives of (1, t, t^2) at t = 0 span e1 then e1, e2
-        f = osculating_flag_veronese(3, np.array([1.0, 0.0]))
-        assert subspace_gap(f.subspace(1), np.array([[1.0, 0, 0]])) < 1e-12
-        assert subspace_gap(
-            f.subspace(2), np.array([[1.0, 0, 0], [0, 1.0, 0]])
-        ) < 1e-12
-
-    def test_first_block_is_curve_point(self):
-        rng = np.random.default_rng(31)
-        for n in (2, 3, 4, 5):
-            p = rng.normal(size=2)
-            f = osculating_flag_veronese(n, p)
-            assert f.line().same_as(veronese(n, p), tol=1e-10)
-
-    def test_matches_eigen_flag_at_fixed_point(self):
-        # flag at the attracting fixed point of a word equals the closed form
-        rng = np.random.default_rng(37)
-        for n in (3, 4, 5):
-            a = random_hyperbolic(rng)
-            s2 = eigen_split(a)
-            fix = s2.vectors[0]
-            s = eigen_split(sym_power_rep(n, a))
-            fa = flag_from_eigen(s)
-            fb = osculating_flag_veronese(n, fix)
-            for p in range(1, n):
-                assert subspace_gap(fa.subspace(p), fb.subspace(p)) < 1e-8
-
-    def test_hyperplane_is_dual_covector(self):
-        p = np.array([0.6, -1.1])
-        f = osculating_flag_veronese(4, p)
-        assert f.hyperplane().same_as(veronese_dual(4, p), tol=1e-9)
+        with pytest.raises(SpectrumError, match="not real"):
+            dominant_line(rot(0.7))
 
 
 class TestHyperconvexity:
@@ -244,15 +149,8 @@ class TestHyperconvexity:
                 if np.min(np.diff(angles)) < 0.05:
                     continue
                 vecs = [
-                    veronese(n, np.array([np.cos(a), np.sin(a)])).rep
+                    veronese(n, np.array([np.cos(a), np.sin(a)]))
                     for a in angles
                 ]
                 det, scale = spanning_det(vecs)
                 assert abs(det) / scale > 1e-8
-
-    def test_flag_dimensions(self):
-        f = osculating_flag_veronese(5, np.array([1.0, 2.0]))
-        for p in range(1, 5):
-            blk = f.subspace(p)
-            assert blk.shape == (p, 5)
-            assert np.allclose(blk @ blk.T, np.eye(p), atol=1e-12)

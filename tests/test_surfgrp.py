@@ -6,7 +6,7 @@ import pytest
 from crlab.projlin import sym_power_rep
 from crlab.surfgrp import (
     GENUS2_RELATOR, GeneratorSet, GroupDataError, Word,
-    act_on_angle, angle_of_line, circular_gap, conjugate_split, cyclic_reduce,
+    act_on_angle, angle_of_line, circular_gap, conjugate_split,
     enumerate_words, evaluate, fixed_points_2x2, line_of_angle,
     make_generator_set, octagon_fuchsian, sample_boundary, schottky,
     translate_point,
@@ -25,14 +25,14 @@ class TestWords:
 
     def test_cyclic_reduce(self):
         w = Word.of(1, 2, 3, -1)
-        assert cyclic_reduce(w).letters == (2, 3)
+        assert conjugate_split(w)[1].letters == (2, 3)
 
     def test_conjugate_split(self):
         for letters in [(1, 2, 3, -1), (1, -2, 3, 2, -1), (2, 3), (1,), ()]:
             w = Word.of(*letters)
             v, c = conjugate_split(w)
             assert v * c * v.inverse() == w
-            assert c.is_cyclically_reduced() and c == cyclic_reduce(w)
+            assert c.is_cyclically_reduced()
         assert conjugate_split(Word.of(1, -2, 3, 2, -1))[0].letters == (1, -2)
 
     def test_power(self):
@@ -168,7 +168,7 @@ class TestOctagon:
 
 class TestSchottky:
     def test_valid_configuration(self):
-        g = schottky(3.0, 3.0, 0.5)
+        g = schottky(3.0, 3.0)
         att_a, rep_a = fixed_points_2x2(g.matrices[0])
         att_b, rep_b = fixed_points_2x2(g.matrices[1])
         angles = sorted(
@@ -180,10 +180,6 @@ class TestSchottky:
     def test_not_hyperbolic(self):
         with pytest.raises(GroupDataError, match="hyperbolic"):
             schottky(1.5, 3.0)
-
-    def test_separation_violated(self):
-        with pytest.raises(GroupDataError, match="separation"):
-            schottky(3.0, 3.0, separation=2.0)
 
 
 class TestFixedPoints:
