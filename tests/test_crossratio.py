@@ -484,6 +484,22 @@ class TestDual:
             period(b, octagon, w, y), abs=1e-9)
 
 
+class TestQuadrupleDomain:
+    """The cross ratio's domain x != t, y != z, as `curve_cr` enforces it."""
+
+    def test_rejects_equal_ends(self, sample_l2):
+        p = sample_l2.points
+        pair = veronese_pair(3)
+        with pytest.raises(DomainError):
+            curve_cr(pair, (p[0], p[1], p[2], p[0]))
+        with pytest.raises(DomainError):
+            curve_cr(pair, (p[0], p[1], p[1], p[2]))
+
+    def test_accepts_valid(self, sample_l2):
+        p = sample_l2.points
+        assert np.isfinite(curve_cr(veronese_pair(3), tuple(p[:4])))
+
+
 def looped(b):
     """The same evaluator without its batched path: rows are looped."""
     return CrossRatioFn(evaluator=b.evaluator, label=b.label)

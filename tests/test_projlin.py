@@ -19,6 +19,27 @@ def random_sl2(rng, max_log=0.7):
         rng.uniform(0, np.pi))
 
 
+def random_hyperbolic(rng, lam=3.0):
+    g = random_sl2(rng)
+    return g @ np.diag([lam, 1 / lam]) @ np.linalg.inv(g)
+
+
+def moment_jet(n, p, q):
+    """Taylor coefficients of s -> moment vector of p + s q, one row per s^j.
+
+    Rows 0..k-1 span the k-dimensional osculating subspace of the moment
+    curve at p (for q not a multiple of p).
+    """
+    def power(a, b, k):     # coefficients of (a + b s)^k, ascending in s
+        out = np.ones(1)
+        for _ in range(k):
+            out = np.convolve(out, [a, b])
+        return out
+
+    return np.array([np.convolve(power(p[0], q[0], n - 1 - i),
+                                 power(p[1], q[1], i)) for i in range(n)]).T
+
+
 def sine_distance(v, w):
     """Projective distance |v - (v.w) w| of the unit representatives."""
     v = v / np.linalg.norm(v)
@@ -128,7 +149,9 @@ class TestSymPower:
             assert abs(np.linalg.det(sym_power_rep(n, a)) - 1.0) < 1e-12
 
 
-class TestDominantLine:
+class TestEigenSplit:
+    """`dominant_line`, the one eigen routine, on a matrix and its inverse."""
+
     def test_negative_dominant_eigenvalue(self):
         # the eigenline of -3 is the second axis, sign-normalized
         got = dominant_line(np.diag([1.0, -3.0, 0.5]))
@@ -137,6 +160,134 @@ class TestDominantLine:
     def test_rotation_rejected(self):
         with pytest.raises(SpectrumError, match="not real"):
             dominant_line(rot(0.7))
+
+    def test_diagonal(self):
+        m = np.diag([4.0, 1.0, 0.25])
+        for mat, i in ((m, 0), (np.linalg.inv(m), 2)):
+            e = np.zeros(3)
+            e[i] = 1.0
+            assert abs(abs(dominant_line(mat) @ e) - 1.0) < 1e-12
+
+    def test_conjugated_sym_power(self):
+        rng = np.random.default_rng(11)
+        lam = 3.0
+        a = np.diag([lam, 1.0 / lam])
+        g = random_sl2(rng)
+        m = sym_power_rep(3, g @ a @ np.linalg.inv(g))
+        # attracting and repelling lines carry the extreme eigenvalues
+        for mat, value in ((m, lam ** 2), (np.linalg.inv(m), lam ** -2)):
+            v = dominant_line(mat)
+            assert np.linalg.norm(m @ v - value * v) < 1e-10 * value
+
+    def test_left_right_duality(self):
+        # a dominant covector (of the transpose) annihilates the other
+        # extreme eigenline and pairs with its own
+        rng = np.random.default_rng(13)
+        g = random_sl2(rng)
+        m = sym_power_rep(4, g @ np.diag([2.0, 0.5]) @ np.linalg.inv(g))
+        mi = np.linalg.inv(m)
+        for a, b in ((m, mi), (mi, m)):
+            cov = dominant_line(a.T)
+            assert abs(cov @ dominant_line(b)) < 1e-10
+            assert abs(cov @ dominant_line(a)) > 1e-6
+
+    def test_huge_norm_words_stay_accurate(self):
+        # spectrum with extreme dynamic range, assembled as the pipeline
+        # does: symmetric powers of moderate factors, then products
+        rng = np.random.default_rng(17)
+        g = sym_power_rep(5, random_sl2(rng))
+        gi = np.linalg.inv(g)
+        lam = 900.0
+        d = np.array([lam ** 4, lam ** 2, 1.0, lam ** -2, lam ** -4])
+        m = g @ np.diag(d) @ gi
+        mi = g @ np.diag(1 / d) @ gi
+        # lines are columns of g, covectors rows of g^-1
+        assert sine_distance(dominant_line(m), g[:, 0]) < 1e-12
+        assert sine_distance(dominant_line(mi), g[:, 4]) < 1e-12
+        assert sine_distance(dominant_line(m.T), gi[0]) < 1e-12
+        assert sine_distance(dominant_line(mi.T), gi[4]) < 1e-12
+
+
+class TestFlags:
+    """The flag a word image hands the curves: its attracting line, and the
+    hyperplane of its other eigenlines, whose covector is the dominant line
+    of the inverse transpose (as in `representation_pair`)."""
+
+    def test_diag_flag(self):
+        m = np.diag([4.0, 1.0, 0.25])
+        assert np.array_equal(dominant_line(m), [1.0, 0.0, 0.0])
+        # the hyperplane span(e1, e2) has covector e3
+        cov = dominant_line(np.linalg.inv(m).T)
+        assert np.array_equal(cov, [0.0, 0.0, 1.0])
+
+    def test_conjugation_equivariance(self):
+        rng = np.random.default_rng(23)
+        base = np.diag([5.0, 1.2, 1 / 6.0])
+        g, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        m = g @ base @ g.T
+        assert sine_distance(dominant_line(m), g @ dominant_line(base)) < 1e-9
+        # g is orthogonal, so covectors move by g as well
+        cov_a = dominant_line(np.linalg.inv(base).T)
+        cov_b = dominant_line(np.linalg.inv(m).T)
+        assert sine_distance(cov_b, g @ cov_a) < 1e-9
+
+    def test_attracting_covector_annihilates_top(self):
+        rng = np.random.default_rng(29)
+        g = random_sl2(rng)
+        m = sym_power_rep(4, g @ np.diag([2.5, 0.4]) @ np.linalg.inv(g))
+        w, v = np.linalg.eig(m)
+        top = v[:, np.argsort(-np.abs(w))[:3]].real
+        cov = dominant_line(np.linalg.inv(m).T)
+        for i in range(3):
+            assert abs(cov @ top[:, i]) < 1e-10
+
+    def test_n2_single_line(self):
+        # at n = 2 the flag is the attracting line alone; the covector
+        # is the line's annihilator
+        m = np.array([[3.0, 1.0], [0.0, 1 / 3.0]])
+        line = dominant_line(m)
+        assert np.allclose(np.abs(line), [1.0, 0.0], atol=1e-12)
+        assert abs(dominant_line(np.linalg.inv(m).T) @ line) < 1e-12
+
+
+class TestOsculatingVeronese:
+    """The osculating subspaces of the moment curve, spanned by its Taylor
+    coefficients, against `veronese`, `veronese_dual` and eigenlines."""
+
+    def test_at_basepoint(self):
+        # derivatives of (1, t, t^2) at t = 0 span e1 then e1, e2
+        jet = moment_jet(3, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        assert np.array_equal(jet, np.eye(3))
+        p = np.array([1.0, 0.0])
+        assert np.array_equal(veronese(3, p), [1.0, 0.0, 0.0])
+        assert abs(abs(veronese_dual(3, p)[2]) - 1.0) < 1e-12
+
+    def test_first_block_is_curve_point(self):
+        rng = np.random.default_rng(31)
+        for n in (2, 3, 4, 5):
+            p, q = rng.normal(size=2), rng.normal(size=2)
+            assert sine_distance(moment_jet(n, p, q)[0], veronese(n, p)) < 1e-10
+
+    def test_matches_eigen_flag_at_fixed_point(self):
+        # line and hyperplane at the attracting fixed point of a word equal
+        # the closed form
+        rng = np.random.default_rng(37)
+        for n in (3, 4, 5):
+            a = random_hyperbolic(rng)
+            fix = dominant_line(a)
+            s = sym_power_rep(n, a)
+            assert sine_distance(dominant_line(s), veronese(n, fix)) < 1e-8
+            assert sine_distance(dominant_line(np.linalg.inv(s).T),
+                                 veronese_dual(n, fix)) < 1e-8
+
+    def test_hyperplane_is_dual_covector(self):
+        # the dual covector annihilates the first n - 1 Taylor coefficients
+        # (the osculating hyperplane) and not the last
+        p = np.array([0.6, -1.1])
+        jet = moment_jet(4, p, np.array([1.1, 0.6]))
+        pairings = np.abs(jet @ veronese_dual(4, p)) / np.linalg.norm(jet, axis=1)
+        assert np.all(pairings[:3] < 1e-9)
+        assert pairings[3] > 1e-3
 
 
 class TestHyperconvexity:
@@ -154,3 +305,13 @@ class TestHyperconvexity:
                 ]
                 det, scale = spanning_det(vecs)
                 assert abs(det) / scale > 1e-8
+
+    def test_flag_dimensions(self):
+        # the osculating flag of the moment curve has full dimension at
+        # every level: all n Taylor coefficients are independent
+        p = np.array([1.0, 2.0])
+        jet = moment_jet(5, p, np.array([-2.0, 1.0]))
+        for k in range(1, 6):
+            assert np.linalg.matrix_rank(jet[:k]) == k
+        det, scale = spanning_det(jet)
+        assert abs(det) / scale > 1e-8
