@@ -29,7 +29,7 @@ from .surfgrp import (
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
 DEFAULT_MIN_GAP = 1e-3   # angular floor for randomly drawn tuples
 DRAW_TRIES = 400         # rejected draws before a tuple draw gives up
-FLOW_TOL = 1e-12         # bisection width at which the flow stops
+FLOW_TOL = 1e-12         # width of the flow's final bracket, in angle
 
 
 class DomainError(ValueError):
@@ -606,41 +606,57 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     """The point x_t with b(x+, x0, x-, x_t) = e^t on the arc from x- to x+
     that contains x0, in either orientation.
 
-    Monotone bisection over the circle coordinate; needs an evaluator that
-    accepts synthetic angle points.  An eigen-sampled curve's evaluator
-    raises DomainError at them.
+    Searches in s, where phi(s) = end - (end - x0) 2^-s runs from x0 toward
+    end = x+ (t > 0) or x- (t < 0): near the endpoint log |b| is close to
+    linear in s.  Secant steps, each at most doubling s, bracket x_t within
+    2^-119 of the arc; Illinois false position then narrows the bracket to
+    FLOW_TOL in angle.  About ten evaluations of b in all.  Needs an
+    evaluator that accepts synthetic angle points; an eigen-sampled curve's
+    evaluator raises DomainError at them.
     """
     lo, mid, hi = _unwrap_arc(
         x_minus.circle_coord, x_zero.circle_coord, x_plus.circle_coord
     )
-
-    def g(phi):
-        pt = BoundaryPoint.from_angle(phi % TWO_PI)
-        return float(np.log(abs(b(x_plus, x_zero, x_minus, pt))))
-
     if t == 0.0:
         return BoundaryPoint.from_angle(mid % TWO_PI)
-    # bracket by stepping geometrically toward an arc endpoint, where
-    # log |b| runs off to +inf (toward x+) or -inf (toward x-)
-    prev = mid
-    bracket = None
-    for k in range(1, 120):
-        cand = hi - (hi - mid) * 0.5 ** k if t > 0 else lo + (mid - lo) * 0.5 ** k
-        if (g(cand) >= t) if t > 0 else (g(cand) <= t):
-            bracket = (min(prev, cand), max(prev, cand))
-            break
-        prev = cand
-    if bracket is None:
-        raise DomainError("flow target not bracketed within the sampled arc")
-    p, q = bracket
-    if g(p) > g(q):  # keep g increasing from p to q
-        p, q = q, p
-    for _ in range(200):
-        m = 0.5 * (p + q)
-        if g(m) < t:
-            p = m
+    end = hi if t > 0 else lo
+    sign = 1.0 if t > 0 else -1.0
+    speed = abs(end - mid) * np.log(2.0)   # |dphi/ds| at s = 0
+
+    def phi(s):
+        return end - (end - mid) * 2.0 ** -s
+
+    def f(s):
+        pt = BoundaryPoint.from_angle(phi(s) % TWO_PI)
+        return sign * (float(np.log(abs(b(x_plus, x_zero, x_minus, pt)))) - t)
+
+    # f(0) = -|t|, as b(x+, x0, x-, x0) = 1.  Each probe lands a quarter
+    # unit of s past the secant root, so it overshoots x_t by little: closer
+    # to the endpoint b itself may raise DomainError.
+    a, fa, c = 0.0, -abs(t), 1.0
+    while (fc := f(c)) < 0:
+        if c >= 119.0:
+            raise DomainError("flow target not bracketed within the sampled arc")
+        nxt = c - fc * (c - a) / (fc - fa) + 0.25 if fc > fa else 2.0 * c
+        a, fa, c = c, fc, min(nxt, 2.0 * c, 119.0)
+    side = 0  # which end the last probe replaced: -1 for a, +1 for c
+    while abs(phi(c) - phi(a)) >= FLOW_TOL:
+        s = (a * fc - c * fa) / (fc - fa)
+        if not a <= s <= c:  # NaN where b is 0 or NaN at an end
+            s = 0.5 * (a + c)
+        # keep probes FLOW_TOL / 4 (in angle) inside the bracket, so that it
+        # closes from both sides once the secant sits on x_t
+        h = min(0.25 * FLOW_TOL * 2.0 ** c / speed, 0.25 * (c - a))
+        s = min(max(s, a + h), c - h)
+        fs = f(s)
+        if fs < 0:
+            a, fa = s, fs
+            if side < 0:  # Illinois: c kept twice, halve its weight
+                fc *= 0.5
+            side = -1
         else:
-            q = m
-        if abs(q - p) < FLOW_TOL:
-            break
-    return BoundaryPoint.from_angle(0.5 * (p + q) % TWO_PI)
+            c, fc = s, fs
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return BoundaryPoint.from_angle(0.5 * (phi(a) + phi(c)) % TWO_PI)

@@ -14,7 +14,7 @@ _SIG = 1e-12          # threshold for "first nonzero coordinate"
 
 
 class SpectrumError(ValueError):
-    """Raised when a matrix's dominant eigenvalue is not real."""
+    """Raised when a matrix's dominant eigenvalue is not real or not simple."""
 
 
 def normalize_rep(v):
@@ -97,12 +97,18 @@ def _pow_coeffs(u, v, m):
 def dominant_line(m):
     """Unit representative of the eigenline of m's largest |eigenvalue|.
 
-    Raises SpectrumError when that eigenvalue is not real.
+    Raises SpectrumError when that eigenvalue is not real, or when another
+    eigenvalue has the same modulus up to a relative 1e-9: then no eigenline
+    dominates.
     """
     w, v = np.linalg.eig(m)
-    k = int(np.argmax(np.abs(w)))
-    if abs(w[k].imag) > 1e-9 * abs(w[k]):
+    mod = np.abs(w).tolist()   # n is small: plain floats are faster here
+    top = max(mod)
+    k = mod.index(top)
+    if abs(w[k].imag) > 1e-9 * top:
         raise SpectrumError("dominant eigenvalue is not real")
+    if len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
+        raise SpectrumError("dominant eigenvalue is not simple")
     return normalize_rep(v[:, k].real)
 
 

@@ -438,21 +438,65 @@ class TestFlow:
         gy = translate_point(octagon, w, y)
         assert circular_gap(xt.circle_coord, gy.circle_coord) < 1e-6
 
-    def test_period_recovery_both_orientations(self, octagon, sample_l2):
-        b = curve_cr_fn(veronese_pair(3))
-        orientations = set()
+    @staticmethod
+    def recovery_cases(octagon, sample_l2):
+        """(w, repelling, y, attracting): words of length <= 2, three base
+        points each far from both fixed points."""
         for w in enumerate_words(octagon, 2):
             att, rep = fixed_points_2x2(evaluate(octagon, w), word=w)
             far = [p for p in sample_l2.points
                    if circular_gap(p.circle_coord, att.circle_coord) > 0.5
                    and circular_gap(p.circle_coord, rep.circle_coord) > 0.5]
             for y in far[::len(far) // 3][:3]:
-                orientations.add(is_counter_clockwise(
-                    rep.circle_coord, y.circle_coord, att.circle_coord))
-                xt = flow_from_cr(b, rep, y, att, period(b, octagon, w, y))
-                gy = translate_point(octagon, w, y)
-                assert circular_gap(xt.circle_coord, gy.circle_coord) < 1e-6, (w, y)
+                yield w, rep, y, att
+
+    def test_period_recovery_both_orientations(self, octagon, sample_l2):
+        b = curve_cr_fn(veronese_pair(3))
+        orientations = set()
+        for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
+            orientations.add(is_counter_clockwise(
+                rep.circle_coord, y.circle_coord, att.circle_coord))
+            xt = flow_from_cr(b, rep, y, att, period(b, octagon, w, y))
+            gy = translate_point(octagon, w, y)
+            assert circular_gap(xt.circle_coord, gy.circle_coord) < 1e-6, (w, y)
         assert orientations == {True, False}
+
+    def test_flow_evaluation_count(self, octagon, sample_l2):
+        # the search takes about ten evaluations of b per flow
+        inner = curve_cr_fn(veronese_pair(3))
+        calls = []
+
+        def counted(x, y, z, t):
+            calls.append(1)
+            return inner(x, y, z, t)
+
+        b = CrossRatioFn(evaluator=counted, label="counted")
+        for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
+            t = period(inner, octagon, w, y)
+            calls.clear()
+            flow_from_cr(b, rep, y, att, t)
+            assert len(calls) <= 24, (w, y, len(calls))
+
+    @pytest.mark.parametrize("triple", [(0.0, 2.0, 4.0), (4.0, 2.0, 0.0),
+                                        (1.0, 5.5, 3.0)])
+    def test_classical_flow_matches_closed_form(self, triple):
+        # with u = tan(phi / 2), x_t solves
+        # (u+ - u0)(u- - u_t) / ((u+ - u_t)(u- - u0)) = e^t
+        x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in triple)
+        um, u0, up = (np.tan(a / 2.0) for a in triple)
+        ratio = (up - u0) / (um - u0)
+        for t in (0.1, 1.0, 5.0, 20.0, -0.1, -1.0, -5.0, -20.0):
+            e = np.exp(t)
+            # u_t = (e u+ - ratio u-) / (e - ratio), as a homogeneous pair
+            exact = 2.0 * np.arctan2(e * up - ratio * um, e - ratio) % TWO_PI
+            got = flow_from_cr(self.b, x_minus, x_zero, x_plus, t)
+            assert circular_gap(got.circle_coord, exact) < 1e-12, t
+
+    def test_unreachable_target_not_bracketed(self):
+        flat = CrossRatioFn(evaluator=lambda x, y, z, t: 1.0, label="flat")
+        for t in (0.5, -0.5):
+            with pytest.raises(DomainError, match="not bracketed"):
+                flow_from_cr(flat, self.x_minus, self.x_zero, self.x_plus, t)
 
 
 class TestDual:

@@ -161,6 +161,16 @@ class TestEigenSplit:
         with pytest.raises(SpectrumError, match="not real"):
             dominant_line(rot(0.7))
 
+    def test_tied_moduli_rejected(self):
+        # no eigenline dominates: a 3x3 rotation (moduli 1, 1, 1), and a top
+        # modulus shared by 2 and -2
+        spin = np.eye(3)
+        spin[:2, :2] = rot(0.7)
+        with pytest.raises(SpectrumError, match="not (real|simple)"):
+            dominant_line(spin)
+        with pytest.raises(SpectrumError, match="not simple"):
+            dominant_line(np.diag([2.0, -2.0, 0.25]))
+
     def test_diagonal(self):
         m = np.diag([4.0, 1.0, 0.25])
         for mat, i in ((m, 0), (np.linalg.inv(m), 2)):
