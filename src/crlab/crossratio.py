@@ -300,23 +300,32 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     """count rows of k distinct indices into sample.points whose points lie
     pairwise more than min_gap apart on the circle.
 
-    Consumes rng exactly as count calls of draw_points do, so a seed draws
-    the same tuples either way.
+    Each candidate is one `rng.choice` call, kept or rejected on its own,
+    and the gaps of a batch of candidates are tested at once.  A batch
+    holds no more candidates than the rows still missing or the rejections
+    left before DRAW_TRIES in a row give up, so a one-at-a-time rejection
+    loop would draw all of them too: rng ends where count calls of
+    draw_points leave it, also when the draw raises, and a seed draws the
+    same tuples either way.
     """
     n = len(sample.points)
     if n < k:
         raise DomainError(f"sample set too small: {n} < {k}")
-    angles = sample.angles().tolist()
+    angles = sample.angles()
+    r = np.arange(k)
+    i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), at a fifth the cost
     out = np.empty((count, k), dtype=np.intp)
-    for row in out:
-        for _ in range(DRAW_TRIES):
-            idx = rng.choice(n, size=k, replace=False)
-            a = [angles[i] for i in idx.tolist()]
-            if all(circular_gap(p, q) > min_gap
-                   for i, p in enumerate(a) for q in a[i + 1:]):
-                row[:] = idx
-                break
-        else:
+    filled, run = 0, 0  # run: rejections since the last kept candidate
+    while filled < count:
+        cand = np.array([rng.choice(n, size=k, replace=False)
+                         for _ in range(min(count - filled, DRAW_TRIES - run))])
+        a = angles[cand]
+        d = np.abs(a[:, i] - a[:, j]) % TWO_PI  # circular_gap, elementwise
+        kept = np.flatnonzero((np.minimum(d, TWO_PI - d) > min_gap).all(axis=1))
+        out[filled:filled + len(kept)] = cand[kept]
+        filled += len(kept)
+        run = len(cand) - 1 - kept[-1] if len(kept) else run + len(cand)
+        if run == DRAW_TRIES:
             raise DomainError("could not draw a separated tuple; lower min_gap")
     return out
 
@@ -424,6 +433,13 @@ def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
 
     Evaluates tuple by tuple, as the moved points are not sample points; the
     witness is the generator and the angles of the tuple.
+
+    On a `representation_pair` the values at moved points come from
+    equivariance, xi(g p) = rho(g) xi(p) and xi*(g p) = rho(g)^-T xi*(p),
+    which leaves every pairing unchanged; there the check measures float
+    error only, as symmetry and the cocycles of `check_axioms` do.  It
+    carries content on evaluators that are not pairing quotients, such as
+    Otal's, reconstructed or corrupted ones.
     """
     gens = sample.group
     rng = np.random.default_rng(seed)

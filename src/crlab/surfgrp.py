@@ -382,12 +382,19 @@ class SampleSet:
 
     points: tuple
     group: GeneratorSet
+    _angles: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        angles = np.array([p.circle_coord for p in self.points])
+        angles.flags.writeable = False
+        object.__setattr__(self, "_angles", angles)
 
     def __len__(self):
         return len(self.points)
 
     def angles(self):
-        return np.array([p.circle_coord for p in self.points])
+        """The circle coordinates of the points, as one read-only array."""
+        return self._angles
 
 
 def sample_boundary(gens, max_len):

@@ -618,19 +618,43 @@ class TestBatchedChecks:
             group=sample_l2.group)
         assert check_axioms(b, others, 50, seed=0)["passed"]
 
-    def test_draw_indices_matches_draw_points(self, sample_l2):
-        # a large gap makes the draw reject and redraw
-        for k, min_gap in ((4, 1e-3), (5, 0.4), (6, 0.3)):
-            rngs = [np.random.default_rng(17) for _ in range(3)]
-            rows = draw_indices(sample_l2, rngs[0], k, 40, min_gap)
-            ref = [draw_points_loop(sample_l2, rngs[1], k, min_gap)
-                   for _ in range(40)]
-            wrapped = [draw_points(sample_l2, rngs[2], k, min_gap)
-                       for _ in range(40)]
-            assert [[sample_l2.points[i] for i in row] for row in rows] == ref
-            assert wrapped == ref
-            states = [r.bit_generator.state for r in rngs]
-            assert states[0] == states[1] == states[2]
+    def test_draw_indices_matches_draw_points(self, sample_l2, sample_l3):
+        # rows, or the error raised, and where the rng stream ends
+        def outcome(draw, sample, k, count, min_gap, seed):
+            rng = np.random.default_rng(seed)
+            try:
+                got = draw(sample, rng, k, count, min_gap)
+            except DomainError as exc:
+                got = str(exc)
+            return got, rng.bit_generator.state
+
+        def batched(sample, rng, k, count, min_gap):
+            return [[sample.points[i] for i in row]
+                    for row in draw_indices(sample, rng, k, count, min_gap)]
+
+        def one_at_a_time(draw):
+            return lambda sample, rng, k, count, min_gap: [
+                draw(sample, rng, k, min_gap) for _ in range(count)]
+
+        cases = [
+            # the draws of the axioms-L3 benchmark workload
+            *((sample_l3, 5, 100, 1e-3, seed) for seed in range(20)),
+            # a large gap makes the draw reject and redraw
+            (sample_l2, 4, 40, 1e-3, 17), (sample_l2, 5, 40, 0.4, 17),
+            (sample_l2, 6, 40, 0.3, 17),
+            # DRAW_TRIES rejections in a row: k = 8 raises at every seed, k = 7
+            # at seed 1 only; its other seeds fill the last rows after runs of
+            # hundreds of rejections, one-candidate batches each
+            *((sample_l2, 8, 40, 0.5, seed) for seed in range(5)),
+            *((sample_l2, 7, 40, 0.55, seed) for seed in range(5)),
+        ]
+        raised = 0
+        for case in cases:
+            want = outcome(one_at_a_time(draw_points_loop), *case)
+            assert outcome(batched, *case) == want
+            assert outcome(one_at_a_time(draw_points), *case) == want
+            raised += isinstance(want[0], str)
+        assert raised == 6
 
     def test_argmax_semantics(self, sample_l2):
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")

@@ -233,6 +233,18 @@ class TestSampleBoundary:
         wrap = 2 * np.pi - (angles[-1] - angles[0])
         assert wrap > 1e-9
 
+    def test_angles_cached_read_only(self):
+        s = sample_boundary(octagon_fuchsian(), 2)
+        angles = s.angles()
+        assert angles.tolist() == [p.circle_coord for p in s.points]
+        assert s.angles() is angles
+        with pytest.raises(ValueError):
+            angles[0] = 0.0
+        # a sample set built directly gets its own array
+        part = type(s)(points=s.points[::5], group=s.group)
+        assert part.angles().tolist() == [p.circle_coord for p in s.points[::5]]
+        assert not part.angles().flags.writeable
+
     def test_translate_point_is_conjugation(self):
         g = octagon_fuchsian()
         s = sample_boundary(g, 2)
