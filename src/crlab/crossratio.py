@@ -17,6 +17,7 @@ with numpy into one report schema.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -183,11 +184,20 @@ class CurveTable:
 
 
 def veronese_pair(n):
-    """Closed-form moment curve with its osculating dual; evaluable anywhere."""
+    """Closed-form moment curve with its osculating dual; evaluable anywhere.
 
+    The last few values of each are kept, so a flow computes its fixed
+    points x+, x0 and x- once rather than at every evaluation of b.  The
+    keys are the BoundaryPoints themselves, hashed by identity: the cache
+    holds them, so no id is reused while an entry lives, and a point is
+    frozen and nothing writes to its line, so a kept value cannot go stale.
+    """
+
+    @lru_cache(maxsize=8)
     def xi(p):
         return veronese(n, p.line)
 
+    @lru_cache(maxsize=8)
     def xistar(p):
         return veronese_dual(n, p.line)
 

@@ -8,6 +8,8 @@ eigenlines of word images, read off by the one eigen routine
 `dominant_line`.
 """
 
+import math
+
 import numpy as np
 
 _SIG = 1e-12          # threshold for "first nonzero coordinate"
@@ -20,11 +22,15 @@ class SpectrumError(ValueError):
 def normalize_rep(v):
     """Scale to unit norm with the first significant coordinate positive."""
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
-    if not np.isfinite(nrm) or nrm < 1e-300:
+    # np.linalg.norm's own sum, without its wrapper: ravel copies a strided
+    # column (an eig column) to a contiguous one first, and only then is
+    # the dot product bit-identical to norm's
+    c = v.ravel(order="K")
+    nrm = math.sqrt(c.dot(c))
+    if not math.isfinite(nrm) or nrm < 1e-300:
         raise ValueError("zero or non-finite representative vector")
     v = v / nrm
-    for x in v:
+    for x in v.tolist():
         if abs(x) > _SIG:
             if x < 0:
                 v = -v
@@ -39,7 +45,7 @@ def veronese(n, p):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    x, y = normalize_rep(p)
+    x, y = normalize_rep(p).tolist()  # Python floats: ** is cheaper on them
     return normalize_rep(np.array([x ** (n - 1 - i) * y ** i for i in range(n)]))
 
 
@@ -49,8 +55,10 @@ def veronese_dual(n, p):
     Its pairing with veronese(n, q) is det([p q])^(n-1), so it vanishes
     exactly at q = p.  Returns a unit covector.
     """
-    x, y = normalize_rep(p)
-    comb = [float(c) for c in _binomials(n - 1)]
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    x, y = normalize_rep(p).tolist()
+    comb = _binomials(n - 1).tolist()
     return normalize_rep(
         np.array([comb[i] * x ** i * (-y) ** (n - 1 - i) for i in range(n)])
     )

@@ -9,6 +9,7 @@ rescaled: everything read off it is projective or an eigenvalue of a
 unimodular product.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -349,7 +350,8 @@ def fixed_points_2x2(m, word=None):
         # kernel of (m - lam I), choosing the better-conditioned row
         r1 = np.array([m[0, 1], lam - m[0, 0]])
         r2 = np.array([lam - m[1, 1], m[1, 0]])
-        v = r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2
+        # norm's own sum; the sqrt stays, as squares can tie differently
+        v = r1 if math.sqrt(r1.dot(r1)) >= math.sqrt(r2.dot(r2)) else r2
         return normalize_rep(v)
 
     out = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crlab import crossratio
 from crlab.crossratio import (
     CrossRatioFn, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
@@ -476,6 +477,40 @@ class TestFlow:
             calls.clear()
             flow_from_cr(b, rep, y, att, t)
             assert len(calls) <= 24, (w, y, len(calls))
+
+    def test_flow_computes_its_endpoints_once(self, octagon, sample_l2,
+                                              monkeypatch):
+        # every evaluation b(x+, x0, x-, x_t) needs xi at x+ and x- and xi*
+        # at x0; veronese_pair keeps them, so only x_t costs a new xi*
+        counts = {"veronese": 0, "veronese_dual": 0}
+
+        def counted(fn):
+            def wrapper(n, p):
+                counts[fn.__name__] += 1
+                return fn(n, p)
+            return wrapper
+
+        monkeypatch.setattr(crossratio, "veronese", counted(veronese))
+        monkeypatch.setattr(crossratio, "veronese_dual", counted(veronese_dual))
+        plain = curve_cr_fn(CurvePair(
+            n=3, xi_fn=lambda p: veronese(3, p.line),
+            xistar_fn=lambda p: veronese_dual(3, p.line), label="plain"))
+        for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
+            t = period(plain, octagon, w, y)
+            inner = curve_cr_fn(veronese_pair(3))
+            evaluations = []
+
+            def counted_b(*q):
+                evaluations.append(q)
+                return inner(*q)
+
+            b = CrossRatioFn(evaluator=counted_b, label="counted")
+            counts.update(veronese=0, veronese_dual=0)
+            got = flow_from_cr(b, rep, y, att, t)
+            assert counts["veronese"] <= 2, (w, y, counts)
+            assert counts["veronese_dual"] <= len(evaluations) + 1, (w, y, counts)
+            want = flow_from_cr(plain, rep, y, att, t)
+            assert got.circle_coord.hex() == want.circle_coord.hex(), (w, y)
 
     @pytest.mark.parametrize("triple", [(0.0, 2.0, 4.0), (4.0, 2.0, 0.0),
                                         (1.0, 5.5, 3.0)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,88 @@ class TestVeronese:
                 det = p[0] * y - p[1] * x
                 ratios.append((cov @ moments) / det ** (n - 1))
             assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+
+def normalize_rep_numpy(v):
+    """`normalize_rep` written with np.linalg.norm and numpy scalars."""
+    v = np.asarray(v, dtype=float)
+    nrm = np.linalg.norm(v)
+    if not np.isfinite(nrm) or nrm < 1e-300:
+        raise ValueError("zero or non-finite representative vector")
+    v = v / nrm
+    for x in v:
+        if abs(x) > 1e-12:
+            if x < 0:
+                v = -v
+            break
+    return v
+
+
+def veronese_numpy(n, p):
+    x, y = normalize_rep_numpy(p)
+    return normalize_rep_numpy(
+        np.array([x ** (n - 1 - i) * y ** i for i in range(n)]))
+
+
+def veronese_dual_numpy(n, p):
+    x, y = normalize_rep_numpy(p)
+    comb = [float(math.comb(n - 1, i)) for i in range(n)]
+    return normalize_rep_numpy(
+        np.array([comb[i] * x ** i * (-y) ** (n - 1 - i) for i in range(n)]))
+
+
+class TestSameBytes:
+    """The scalar layer gives the bytes of its numpy formulas above.
+
+    Both sides run here, so this holds whatever BLAS kernels the host has.
+    """
+
+    def test_normalize_rep_on_strided_eig_columns(self):
+        # dominant_line passes v[:, k].real; a plain dot product on such a
+        # strided column is not always the sum np.linalg.norm takes
+        rng = np.random.default_rng(21)
+        for n in range(2, 13):
+            for _ in range(100):
+                cols = np.linalg.eig(rng.standard_normal((n, n)))[1].real
+                for k in range(n):
+                    v = cols[:, k]
+                    assert not v.flags.c_contiguous
+                    assert (normalize_rep(v).tobytes()
+                            == normalize_rep_numpy(v).tobytes()), (n, k)
+
+    def test_normalize_rep_on_contiguous_vectors(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 13):
+            for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+                for _ in range(50):
+                    v = scale * rng.standard_normal(n)
+                    assert (normalize_rep(v).tobytes()
+                            == normalize_rep_numpy(v).tobytes()), (n, scale)
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0], [np.nan, 1.0], [1.0, np.inf],
+                                   [-np.inf, 0.0], [1e-301, 0.0]])
+    def test_normalize_rep_rejects(self, v):
+        for fn in (normalize_rep, normalize_rep_numpy):
+            with pytest.raises(ValueError, match="zero or non-finite"):
+                fn(np.array(v))
+
+    def test_veronese_values(self):
+        rng = np.random.default_rng(23)
+        half = rng.uniform(0.0, np.pi, 300)
+        lines = np.concatenate([[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -0.5],
+                                 [1.0, -1.0], [-2.0, 3.0]],   # exact coordinates
+                                np.column_stack([np.cos(half), np.sin(half)])])
+        for n in range(2, 10):
+            for p in lines:
+                assert veronese(n, p).tobytes() == veronese_numpy(n, p).tobytes()
+                assert (veronese_dual(n, p).tobytes()
+                        == veronese_dual_numpy(n, p).tobytes()), (n, p)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_veronese_needs_n_at_least_2(self, n):
+        for fn in (veronese, veronese_dual):
+            with pytest.raises(ValueError, match="n must be >= 2"):
+                fn(n, np.array([0.6, 0.8]))
 
 
 class TestSymPower:
