@@ -90,11 +90,9 @@ def classical_cr(x, y, z, t):
     num = _det2(hx, hy) * _det2(hz, ht)
     d1 = _det2(hx, ht)
     d2 = _det2(hz, hy)
-    scale = max(
-        np.linalg.norm(hx) * np.linalg.norm(ht),
-        np.linalg.norm(hz) * np.linalg.norm(hy),
-    )
-    if abs(d1) <= PAIRING_TOL * scale or abs(d2) <= PAIRING_TOL * scale:
+    # each determinant against the scale of its own two points
+    if (abs(d1) <= PAIRING_TOL * np.linalg.norm(hx) * np.linalg.norm(ht)
+            or abs(d2) <= PAIRING_TOL * np.linalg.norm(hz) * np.linalg.norm(hy)):
         raise DomainError("classical cross ratio needs x != t and y != z")
     return num / (d1 * d2)
 
@@ -368,9 +366,12 @@ def _worst(viol):
     """The largest violation and the index of the first tuple with it.
 
     As a running maximum from 0.0 updated on a strict > finds them: (0.0,
-    None) when no violation is above 0, and a NaN never counts.
+    None) when no violation is above 0.  A NaN violation counts as inf, so
+    an identity that could not be evaluated fails, and the witness is then
+    the first tuple that gave NaN or inf.
     """
-    v = np.concatenate(([0.0], np.where(viol > 0.0, viol, 0.0)))
+    v = np.concatenate(([0.0], np.where(np.isnan(viol), np.inf,
+                                        np.where(viol > 0.0, viol, 0.0))))
     k = int(np.argmax(v))
     return float(v[k]), (k - 1 if k else None)
 

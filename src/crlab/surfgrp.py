@@ -365,17 +365,17 @@ def fixed_points_2x2(m, word=None):
 
 
 def translate_point(gens, v_word, point):
-    """Image of a sampled boundary point under the group element v.
+    """Image v . p of a boundary point under the group element v.
 
-    Uses the exact identity fix(v w v^-1) = v . fix(w), so the result is
-    again a sampled point with full eigen-data.
+    The angle is moved by the base matrix of v itself.  A sampled point p
+    fixed by w keeps its sign and eigenvalue: v . p is the fixed point of
+    v w v^-1 of the same sign, which is the word carried.  No fixed point
+    of the conjugated word is solved for.  A synthetic point stays one.
     """
-    if point.word is None:
-        m = evaluate(gens, v_word)
-        return BoundaryPoint.from_angle(act_on_angle(m, point.circle_coord))
-    conj = point.word.conjugated_by(v_word)
-    att, rep = fixed_points_2x2(evaluate(gens, conj), word=conj)
-    return att if point.sign == "attracting" else rep
+    phi = act_on_angle(evaluate(gens, v_word), point.circle_coord)
+    conj = None if point.word is None else point.word.conjugated_by(v_word)
+    return BoundaryPoint(word=conj, sign=point.sign, circle_coord=phi,
+                         line=line_of_angle(phi), eigenvalue=point.eigenvalue)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ class TestClassical:
 
     def test_zero_locus(self):
         assert classical_cr(1.3, 1.3, 0.2, 5.0) == 0.0
+
+    def test_determinants_scaled_by_their_own_points(self):
+        # x far out must not make the small but well-posed z - y degenerate
+        x, y, z, t = 1e7, 1.0, 1.000001, 2.0
+        fx, fy, fz, ft = (Fraction(v) for v in (x, y, z, t))
+        want = (fx - fy) * (fz - ft) / ((fx - ft) * (fz - fy))
+        assert float(want) == pytest.approx(-999999.1000821866, rel=1e-12)
+        assert classical_cr(x, y, z, t) == pytest.approx(float(want), rel=1e-9)
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
@@ -706,6 +716,55 @@ class TestBatchedChecks:
         assert rep["argmax"]["cocycle-zw"] == first
         assert rep["strictness_floor"] == 0.5
         assert rep["max_violation"] == 0.5 and not rep["passed"]
+
+    def test_nan_violation_fails_every_check(self, sample_l2):
+        # a NaN counts as inf, and the witness is the first tuple that gave
+        # one; half_nan is NaN exactly where its x lies above pi
+        angles = sample_l2.angles()
+        classical = classical_cr_fn()
+        all_nan = CrossRatioFn(lambda x, y, z, t: float("nan"), "nan")
+        half_nan = CrossRatioFn(
+            lambda x, y, z, t: (float("nan") if x.circle_coord > np.pi
+                                else classical(x, y, z, t)), "half-nan")
+
+        def witness(b, k, seed, x_positions):
+            # x_positions: where the x of the identity's quadruples sit in a tuple
+            idx = draw_indices(sample_l2, np.random.default_rng(seed), k, 20)
+            nan = (angles[idx[:, x_positions]] > np.pi).any(axis=1)
+            if b is all_nan:
+                nan[:] = True
+            assert nan.any()
+            return tuple(angles[idx[np.argmax(nan)]].tolist())
+
+        for b in (all_nan, half_nan):
+            for seed in (0, 3):
+                rep = check_axioms(b, sample_l2, 20, seed=seed)
+                assert rep["max_violation"] == np.inf and not rep["passed"]
+                assert set(rep["per_axiom"].values()) == {np.inf}
+                for name, positions in (("symmetry", [0, 2]), ("zero-locus", [0]),
+                                        ("cocycle-wy", [0, 4])):
+                    assert rep["argmax"][name] == witness(b, 5, seed, positions)[:4]
+                for check, k, positions in ((check_relation12, 4, [0, 3]),
+                                            (check_relation13, 6, [0, 1])):
+                    rep = check(b, sample_l2, 20, seed=seed)
+                    assert rep["max_violation"] == np.inf and not rep["passed"]
+                    assert rep["argmax"] == witness(b, k, seed, positions)
+
+                calls = []
+
+                def recorded(x, y, z, t, b=b):
+                    calls.append((x, y, z, t))
+                    return b(x, y, z, t)
+
+                rep = check_invariance(CrossRatioFn(recorded, "recorded"),
+                                       sample_l2, 10, seed=seed)
+                assert rep["max_violation"] == np.inf and not rep["passed"]
+                # two calls a tuple: on the drawn points, then on the moved ones
+                first = next(i for i, q in enumerate(calls) if np.isnan(b(*q))) // 2
+                assert rep["argmax"][1] == tuple(p.circle_coord for p in calls[2 * first])
+            pts = sample_l2.points
+            with pytest.raises(DomainError, match="precondition"):
+                embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2, count=20)
 
     def test_reports_share_schema(self, sample_l2):
         b = classical_cr_fn()

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import crlab
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_star_import_binds_every_name_in_all():
@@ -28,3 +30,21 @@ def test_benchmark_uses_only_existing_names():
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(aliases[mod], name)]
     assert used and not missing, missing
+
+
+def test_tracer_targets_exist():
+    # the tracer records a target it cannot find as absent rather than
+    # failing, so a rename would silently drop that layer from the trace
+    tree = ast.parse(SPANS.read_text())
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    missing = []
+    for target in targets:
+        mod_name, *path = target.split(".")
+        obj = importlib.import_module(f"crlab.{mod_name}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(target)
+    assert targets and not missing, missing

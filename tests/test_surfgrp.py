@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crlab import surfgrp
 from crlab.projlin import sym_power_rep
 from crlab.surfgrp import (
-    GENUS2_RELATOR, GeneratorSet, GroupDataError, Word,
+    GENUS2_RELATOR, BoundaryPoint, GeneratorSet, GroupDataError, Word,
     act_on_angle, angle_of_line, circular_gap, conjugate_split,
     enumerate_words, evaluate, fixed_points_2x2, line_of_angle,
     make_generator_set, octagon_fuchsian, sample_boundary, schottky,
@@ -245,15 +246,41 @@ class TestSampleBoundary:
         assert part.angles().tolist() == [p.circle_coord for p in s.points[::5]]
         assert not part.angles().flags.writeable
 
-    def test_translate_point_is_conjugation(self):
+    def test_translate_point_is_conjugation(self, monkeypatch):
+        # v . p is the fixed point of v w v^-1 of p's sign; the reference
+        # solves for it, and translate_point may not
+        def refuse(*args, **kwargs):
+            raise AssertionError("translate_point solved a fixed point")
+
         g = octagon_fuchsian()
         s = sample_boundary(g, 2)
-        p = s.points[3]
-        v = Word.of(2, 1)
-        q = translate_point(g, v, p)
-        expected = act_on_angle(evaluate(g, v), p.circle_coord)
-        assert circular_gap(q.circle_coord, expected) < 1e-9
-        assert q.word == p.word.conjugated_by(v)
+        monkeypatch.setattr(surfgrp, "fixed_points_2x2", refuse)
+        movers = [Word.of(x) for x in (1, 2, 3, 4, -1, -2, -3, -4)]
+        movers += [Word.of(2, 1), Word.of(-3, 4), Word.of(1, 1), Word.of(-4, -2)]
+        for v in movers:
+            for p in s.points:
+                q = translate_point(g, v, p)
+                conj = p.word.conjugated_by(v)
+                att, rep = fixed_points_2x2(evaluate(g, conj), word=conj)
+                want = att if p.sign == "attracting" else rep
+                assert circular_gap(q.circle_coord, want.circle_coord) < 1e-11
+                assert q.word == conj
+                assert q.sign == p.sign
+                assert q.eigenvalue == p.eigenvalue
+                np.testing.assert_array_equal(q.line, line_of_angle(q.circle_coord))
+
+    def test_translate_synthetic_point_same_bytes(self):
+        g = octagon_fuchsian()
+        for v in (Word.of(1), Word.of(-3), Word.of(2, 1)):
+            for phi in np.linspace(0.0, 2 * np.pi, 37, endpoint=False):
+                p = BoundaryPoint.from_angle(phi)
+                q = translate_point(g, v, p)
+                want = BoundaryPoint.from_angle(
+                    act_on_angle(evaluate(g, v), p.circle_coord))
+                assert q.word is None and q.sign == "synthetic"
+                assert float(q.circle_coord).hex() == want.circle_coord.hex()
+                assert q.line.tobytes() == want.line.tobytes()
+                assert np.isnan(q.eigenvalue)
 
     def test_circular_order_preserved_by_generators(self):
         # orientation check on triples under every generator
