@@ -23,14 +23,16 @@ import numpy as np
 
 from .projlin import dominant_line, normalize_rep, veronese, veronese_dual
 from .surfgrp import (
-    BoundaryPoint, DEDUP_TOL, GeneratorSet, TWO_PI, Word, circular_gap,
-    conjugate_split, evaluate, fixed_points_2x2, translate_point,
+    BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
+    circular_gap, conjugate_split, evaluate, fixed_points_2x2, translate_point,
 )
 
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
 DEFAULT_MIN_GAP = 1e-3   # angular floor for randomly drawn tuples
 DRAW_TRIES = 400         # rejected draws before a tuple draw gives up
 FLOW_TOL = 1e-12         # width of the flow's final bracket, in angle
+PERIOD_TOL = 1e-8        # largest gap between a period at two base points
+EMBED_PRE_TOL = 1e-6     # product-identity violation `embed_from_cr` accepts
 
 
 class DomainError(ValueError):
@@ -202,7 +204,7 @@ def veronese_pair(n):
     return CurvePair(n=n, xi_fn=xi, xistar_fn=xistar, label=f"veronese-{n}")
 
 
-def representation_pair(gens, rep, n, label=""):
+def representation_pair(gens, rep, n):
     """Limit curve sampled from eigen-data of word matrices.
 
     A point's word is split as v c v^-1 with c cyclically reduced.  At an
@@ -212,25 +214,28 @@ def representation_pair(gens, rep, n, label=""):
     transported by equivariance: xi(v p) = rho(v) xi(p) and
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
     never taken: that product can be far too ill-conditioned.  Values are
-    cached per (word, sign).
+    cached per (word, sign).  `rep` has one image per generator of `gens`,
+    checked here.
     """
-    rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep), gens.kind)
+    rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep))
+    if rep.rank != gens.rank:
+        raise GroupDataError("representation must supply one matrix per generator")
     cache = {}
 
     def data(p):
         if p.word is None:
             raise DomainError("eigen-sampled curve needs a worded boundary point")
-        return _eigen_data(cache, gens, rep, p.word, p.sign)
+        return _eigen_data(cache, rep, p.word, p.sign)
 
     return CurvePair(
         n=n,
         xi_fn=lambda p: data(p)[0],
         xistar_fn=lambda p: data(p)[1],
-        label=label or f"rep-{n}",
+        label=f"rep-{n}",
     )
 
 
-def _eigen_data(cache, gens, rep, word, sign):
+def _eigen_data(cache, rep, word, sign):
     """(xi, xi*) of `representation_pair` at a fixed point of word, cached.
 
     Module-level rather than a closure calling itself, which would be a
@@ -242,17 +247,17 @@ def _eigen_data(cache, gens, rep, word, sign):
         # word products of inverses, not numerical inverses: word images
         # can be far too ill-conditioned to invert in floats
         if word.is_cyclically_reduced():
-            m = evaluate(gens, word, rep)
-            mi = evaluate(gens, word.inverse(), rep)
+            m = evaluate(rep, word)
+            mi = evaluate(rep, word.inverse())
             if sign == "attracting":
                 got = (dominant_line(m), dominant_line(mi.T))
             else:
                 got = (dominant_line(mi), dominant_line(m.T))
         else:
             v, c = conjugate_split(word)
-            xi, xistar = _eigen_data(cache, gens, rep, c, sign)
-            got = (normalize_rep(evaluate(gens, v, rep) @ xi),
-                   normalize_rep(evaluate(gens, v.inverse(), rep).T @ xistar))
+            xi, xistar = _eigen_data(cache, rep, c, sign)
+            got = (normalize_rep(evaluate(rep, v) @ xi),
+                   normalize_rep(evaluate(rep, v.inverse()).T @ xistar))
         cache[key] = got
     return got
 
@@ -468,11 +473,11 @@ def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
 
 # -- periods, triple ratios, projective-line relations ------------------------
 
-def period(b, gens, w, y, y2=None, tol=1e-8):
+def period(b, gens, w, y, y2=None):
     """log |b(g-, g y, g+, y)| for the element g of word w; y-independent.
 
     Evaluates at a second base point when given and insists the two values
-    agree, which is the content of the definition.
+    agree to PERIOD_TOL, which is the content of the definition.
     """
     p_att, p_rep = fixed_points_2x2(evaluate(gens, w), word=w)
     vals = []
@@ -482,7 +487,7 @@ def period(b, gens, w, y, y2=None, tol=1e-8):
                 raise DomainError("base point collides with a fixed point")
         gy = translate_point(gens, w, base)
         vals.append(float(np.log(abs(b(p_rep, gy, p_att, base)))))
-    if len(vals) == 2 and abs(vals[0] - vals[1]) > tol:
+    if len(vals) == 2 and abs(vals[0] - vals[1]) > PERIOD_TOL:
         raise DomainError(
             f"period depends on base point: {vals[0]!r} vs {vals[1]!r}"
         )
@@ -526,38 +531,33 @@ def check_relation13(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
     return _identity_report("relation-product", b, sample, idx, viol, tol)
 
 
-def embed_from_cr(b, w, e, u, sample=None, count=50, seed=0,
-                  pre_tol=1e-6, tol=1e-9):
+def embed_from_cr(b, w, e, u, sample, count=50, seed=0, tol=1e-9):
     """Boundary embedding x -> b(x, w, e, u) realizing b as a classical
     cross ratio in the image coordinates.
 
-    Requires the product identity to hold on samples (checked when a sample
-    set is supplied); the reproduction error is verified on seeded
-    quadruples and the embedding map is returned.
+    Requires the product identity to hold on the sample set, up to
+    EMBED_PRE_TOL; the reproduction error is verified on seeded quadruples
+    of it.  Returns the embedding map and that report.
     """
-    if sample is not None:
-        pre = check_relation13(b, sample, max(10, count // 5), seed=seed)
-        if pre["max_violation"] > pre_tol:
-            raise DomainError(
-                f"embedding precondition fails: product-identity violation "
-                f"{pre['max_violation']:.3e}"
-            )
+    pre = check_relation13(b, sample, max(10, count // 5), seed=seed)
+    if pre["max_violation"] > EMBED_PRE_TOL:
+        raise DomainError(
+            f"embedding precondition fails: product-identity violation "
+            f"{pre['max_violation']:.3e}"
+        )
 
     def fmap(p):
         if circular_gap(p.circle_coord, u.circle_coord) <= DEDUP_TOL:
             return np.inf
         return b(p, w, e, u)
 
-    report = None
-    if sample is not None:
-        # w, e and u need not be sample points, so fmap is evaluated point by point
-        idx, (v,) = _drive(b, sample, count, 4, [(0, 1, 2, 3)], seed + 1,
-                           DEFAULT_MIN_GAP)
-        images = [classical_cr(*(fmap(sample.points[i]) for i in row))
-                  for row in idx.tolist()]
-        report = _identity_report("embedding-reproduction", b, sample, idx,
+    # w, e and u need not be sample points, so fmap is evaluated point by point
+    idx, (v,) = _drive(b, sample, count, 4, [(0, 1, 2, 3)], seed + 1,
+                       DEFAULT_MIN_GAP)
+    images = [classical_cr(*(fmap(sample.points[i]) for i in row))
+              for row in idx.tolist()]
+    return fmap, _identity_report("embedding-reproduction", b, sample, idx,
                                   _rel(np.array(images, float), v), tol)
-    return fmap, report
 
 
 # -- constant-curvature length cross ratio ------------------------------------
@@ -640,6 +640,13 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     FLOW_TOL in angle.  About ten evaluations of b in all.  Needs an
     evaluator that accepts synthetic angle points; an eigen-sampled curve's
     evaluator raises DomainError at them.
+
+    A curve cross ratio stops the search well before 2^-119.  Toward x+
+    the pairing <xi(x), xi*(t)> shrinks like the distance to x+ to the
+    power n - 1 and falls below PAIRING_TOL: with `veronese_pair(3)` or
+    `veronese_pair(5)`, t above about 26-27 raises DomainError.  Toward x-
+    log |b| flattens at its rounding floor near -39, so t below about -38
+    raises "not bracketed".
     """
     lo, mid, hi = _unwrap_arc(
         x_minus.circle_coord, x_zero.circle_coord, x_plus.circle_coord

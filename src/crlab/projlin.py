@@ -80,6 +80,8 @@ def sym_power_rep(n, a):
     a = np.asarray(a, float)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if abs(det - 1.0) > 1e-12:
         raise ValueError(f"matrix is not unimodular: det = {det!r}")

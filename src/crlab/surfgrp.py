@@ -1,4 +1,4 @@
-"""Surface and free group data: presentations, words, boundary samples.
+"""Genus-2 surface group data: presentation, words, boundary samples.
 
 The boundary circle is modeled as RP^1 with the coordinate phi = 2*theta,
 theta the angle of a line in R^2.  All boundary points come from fixed
@@ -19,7 +19,7 @@ from .projlin import normalize_rep
 
 TWO_PI = 2.0 * np.pi
 DEDUP_TOL = 1e-9          # radians between distinct boundary points
-HYPERBOLIC_TOL = 1e-6     # |trace| must exceed 2 + this
+HYPERBOLIC_TOL = 1e-6     # hyperbolic: tr^2 - 4 det exceeds this squared
 
 GENUS2_RELATOR = (1, 2, -1, -2, 3, 4, -3, -4)
 
@@ -95,7 +95,7 @@ def conjugate_split(word):
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSet:
-    """Generator matrices plus the presentation kind.
+    """Generator matrices of the genus-2 surface group, or their images.
 
     The base group has 2x2 unimodular matrices; the images of a
     representation use the same type with n x n matrices.  The inverses are
@@ -103,7 +103,6 @@ class GeneratorSet:
     """
 
     matrices: tuple          # tuple of square float arrays
-    kind: str                # "cocompact-genus-2" | "schottky-free"
     inverses: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -120,34 +119,26 @@ class GeneratorSet:
     def letter_matrix(self, x):
         return self.matrices[x - 1] if x > 0 else self.inverses[-x - 1]
 
-    def relator(self):
-        return Word(GENUS2_RELATOR) if self.kind == "cocompact-genus-2" else None
-
 
 def _validate(gens):
     for i, m in enumerate(gens.matrices):
+        if not np.isfinite(m).all():
+            raise GroupDataError(f"generator {i} has non-finite entries")
         det = np.linalg.det(m)
         if abs(det - 1.0) > 1e-12:
             raise GroupDataError(f"generator {i} has det {det!r}, expected 1")
-    if gens.kind == "cocompact-genus-2":
-        if gens.rank != 4:
-            raise GroupDataError("genus-2 presentation needs 4 generators")
-        r = evaluate(gens, gens.relator())
-        res = min(np.linalg.norm(r - np.eye(2)), np.linalg.norm(r + np.eye(2)))
-        if res > 1e-8:
-            raise GroupDataError(f"surface relator residual {res:.3e}")
-    elif gens.kind == "schottky-free":
-        for i, m in enumerate(gens.matrices):
-            if abs(np.trace(m)) <= 2.0 + HYPERBOLIC_TOL:
-                raise GroupDataError(f"generator {i} is not hyperbolic")
-    else:
-        raise GroupDataError(f"unknown presentation kind {gens.kind!r}")
+    if gens.rank != 4:
+        raise GroupDataError("genus-2 presentation needs 4 generators")
+    r = evaluate(gens, Word(GENUS2_RELATOR))
+    res = min(np.linalg.norm(r - np.eye(2)), np.linalg.norm(r + np.eye(2)))
+    if res > 1e-8:
+        raise GroupDataError(f"surface relator residual {res:.3e}")
     return gens
 
 
-def make_generator_set(matrices, kind):
+def make_generator_set(matrices):
     mats = tuple(np.asarray(m, float).reshape(2, 2) for m in matrices)
-    return _validate(GeneratorSet(matrices=mats, kind=kind))
+    return _validate(GeneratorSet(matrices=mats))
 
 
 # -- explicit constructions -------------------------------------------------
@@ -215,28 +206,7 @@ def octagon_fuchsian():
     g_d = pairing(7, 5)
     # (a, b^-1, c, d^-1) satisfy the commutator relator.
     mats = (g_a, np.linalg.inv(g_b), g_c, np.linalg.inv(g_d))
-    return make_generator_set(mats, "cocompact-genus-2")
-
-
-def schottky(t1, t2):
-    """Rank-2 free group: two hyperbolic matrices with crossed axes.
-
-    The first axis has endpoints at circle coordinates {0, pi}, the second
-    at {pi/2, 3 pi/2}, whatever the traces.
-    """
-    for t in (t1, t2):
-        if t <= 2.0 + HYPERBOLIC_TOL:
-            raise GroupDataError(f"trace {t!r} is not hyperbolic")
-
-    def hyp(t):
-        lam = 0.5 * (t + np.sqrt(t * t - 4.0))
-        return np.diag([lam, 1.0 / lam])
-
-    rot = np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
-                    [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
-    a = hyp(t1)
-    b = rot @ hyp(t2) @ rot.T
-    return make_generator_set((a, b), "schottky-free")
+    return make_generator_set(mats)
 
 
 # -- word enumeration and evaluation ----------------------------------------
@@ -265,11 +235,11 @@ def enumerate_words(gens, max_len):
     return out
 
 
-def evaluate(gens, word, rep=None):
+def evaluate(gens, word):
     """Plain ordered product of generator images along a word.
 
-    `rep` defaults to the base 2x2 matrices; pass a GeneratorSet of SL(n,R)
-    images for a composed representation.
+    `gens` is the base group's 2x2 matrices, or a GeneratorSet of SL(n,R)
+    images for a representation.
 
     The product is not rescaled.  Limit-curve values, fixed points and
     eigenvalue ratios are projective, so its scale never enters them, and
@@ -279,13 +249,9 @@ def evaluate(gens, word, rep=None):
     cancellation error, and fails outright on an ill-conditioned product
     whose determinant rounds to 0.
     """
-    if rep is None:
-        rep = gens
-    if rep.rank != gens.rank:
-        raise GroupDataError("representation must supply one matrix per generator")
-    acc = np.eye(rep.matrices[0].shape[0])
+    acc = np.eye(gens.matrices[0].shape[0])
     for x in word.letters:
-        acc = acc @ rep.letter_matrix(x)
+        acc = acc @ gens.letter_matrix(x)
     return acc
 
 

@@ -19,7 +19,7 @@ from crlab.surfgrp import (
 
 
 def rep_cross_ratio(octagon, sym_reps, n):
-    pair = representation_pair(octagon, sym_reps[n], n, label=f"fuchsian-{n}")
+    pair = representation_pair(octagon, sym_reps[n], n)
     return curve_cr_fn(pair)
 
 
@@ -114,6 +114,10 @@ class TestCurveCrossRatio:
         for p in sample_l3.points:
             assert np.all(np.isfinite(pair.xi(p)))
             assert np.all(np.isfinite(pair.xistar(p)))
+
+    def test_image_count_checked_at_construction(self, octagon, sym_reps):
+        with pytest.raises(GroupDataError, match="one matrix per generator"):
+            representation_pair(octagon, sym_reps[3][:3], 3)
 
     def test_non_real_dominant_eigenvalue_raises(
             self, octagon, sample_l2, sym_reps):
@@ -557,7 +561,7 @@ class TestDual:
         b = rep_cross_ratio(octagon, sym_reps, 3)
         contra = tuple(np.linalg.inv(m).T for m in sym_reps[3])
         b_star = curve_cr_fn(
-            representation_pair(octagon, contra, 3, label="contragredient"))
+            representation_pair(octagon, contra, 3))
         bd = dual_cr(b)
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -207,6 +207,15 @@ class TestSymPower:
         with pytest.raises(ValueError):
             sym_power_rep(3, np.diag([2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes the determinant test, which compares False either way
+        one = np.eye(2)
+        one[0, 1] = bad
+        for a in (np.full((2, 2), bad), one):
+            with pytest.raises(ValueError, match="non-finite"):
+                sym_power_rep(3, a)
+
     def test_homomorphism(self):
         rng = np.random.default_rng(42)
         for n in (2, 3, 4, 5, 6):

@@ -9,8 +9,7 @@ from crlab.surfgrp import (
     GENUS2_RELATOR, BoundaryPoint, GeneratorSet, GroupDataError, Word,
     act_on_angle, angle_of_line, circular_gap, conjugate_split,
     enumerate_words, evaluate, fixed_points_2x2, line_of_angle,
-    make_generator_set, octagon_fuchsian, sample_boundary, schottky,
-    translate_point,
+    make_generator_set, octagon_fuchsian, sample_boundary, translate_point,
 )
 
 
@@ -44,18 +43,19 @@ class TestWords:
 
 class TestEnumeration:
     def test_length_one(self):
-        g = schottky(3.0, 3.0)
+        g = octagon_fuchsian()
         words = enumerate_words(g, 1)
-        assert sorted(w.letters for w in words) == [(-2,), (-1,), (1,), (2,)]
+        assert sorted(w.letters for w in words) == [
+            (-4,), (-3,), (-2,), (-1,), (1,), (2,), (3,), (4,)]
 
     def test_length_two_count(self):
-        # brute-force oracle: 4 letters, 16 pairs, minus 4 canceling pairs
-        g = schottky(3.0, 3.0)
+        # brute-force oracle: 8 letters, 64 pairs, minus 8 canceling pairs
+        g = octagon_fuchsian()
         words = enumerate_words(g, 2)
-        assert len(words) == 4 + 12
+        assert len(words) == 8 + 56
 
     def test_empty(self):
-        g = schottky(3.0, 3.0)
+        g = octagon_fuchsian()
         assert enumerate_words(g, 0) == []
 
     def test_all_cyclically_reduced_and_ordered(self):
@@ -76,15 +76,15 @@ class TestEnumeration:
 
 class TestEvaluate:
     def test_empty_word(self):
-        g = schottky(3.0, 3.0)
+        g = octagon_fuchsian()
         assert np.allclose(evaluate(g, Word.of()), np.eye(2))
 
     def test_reduction_consistency(self):
-        g = schottky(3.0, 3.0)
+        g = octagon_fuchsian()
         assert np.allclose(evaluate(g, Word.of(1, -1)), np.eye(2))
 
     def test_product(self):
-        g = schottky(3.0, 4.0)
+        g = octagon_fuchsian()
         m = evaluate(g, Word.of(1, 2))
         assert np.allclose(m, g.matrices[0] @ g.matrices[1], atol=1e-12)
 
@@ -99,13 +99,13 @@ class TestEvaluate:
     def test_cached_inverses_keep_products_bit_identical(self, n):
         g = octagon_fuchsian()
         images = tuple(sym_power_rep(n, m) for m in g.matrices)
-        wrapped = GeneratorSet(images, g.kind)
+        wrapped = GeneratorSet(images)
         for w in enumerate_words(g, 3)[::7]:
             acc = np.eye(n)
             for x in w.letters:  # inverting on every use, as before caching
                 m = images[abs(x) - 1]
                 acc = acc @ (np.linalg.inv(m) if x < 0 else m)
-            assert np.array_equal(evaluate(g, w, wrapped), acc)
+            assert np.array_equal(evaluate(wrapped, w), acc)
 
     @pytest.mark.parametrize("letters", [(1, 2, 3, 4) * 3, (2, 1) * 5])
     def test_eigenvalue_matches_exact_product(self, letters):
@@ -125,7 +125,7 @@ class TestEvaluate:
 
     def test_singular_generator_rejected(self):
         with pytest.raises(GroupDataError, match="singular"):
-            make_generator_set([np.zeros((2, 2)), np.eye(2)], "schottky-free")
+            make_generator_set([np.zeros((2, 2))] + [np.eye(2)] * 3)
 
     def test_long_word_still_usable(self):
         g = octagon_fuchsian()
@@ -164,23 +164,26 @@ class TestOctagon:
         mats = list(g.matrices)
         mats[0] = np.diag([2.0, 0.5])  # breaks the relator
         with pytest.raises(GroupDataError, match="relator"):
-            make_generator_set(mats, "cocompact-genus-2")
+            make_generator_set(mats)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_generator_count_rejected(self, count):
+        mats = (octagon_fuchsian().matrices * 2)[:count]
+        with pytest.raises(GroupDataError, match="needs 4 generators"):
+            make_generator_set(mats)
 
-class TestSchottky:
-    def test_valid_configuration(self):
-        g = schottky(3.0, 3.0)
-        att_a, rep_a = fixed_points_2x2(g.matrices[0])
-        att_b, rep_b = fixed_points_2x2(g.matrices[1])
-        angles = sorted(
-            p.circle_coord for p in (att_a, rep_a, att_b, rep_b)
-        )
-        assert np.allclose(angles, [0.0, np.pi / 2, np.pi, 3 * np.pi / 2],
-                           atol=1e-12)
-
-    def test_not_hyperbolic(self):
-        with pytest.raises(GroupDataError, match="hyperbolic"):
-            schottky(1.5, 3.0)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_generator_rejected(self, bad):
+        # a NaN determinant or relator residual compares False with every
+        # bound, so only an explicit test rejects it
+        g = octagon_fuchsian()
+        for entry in [(0, 0), (1, 0)]:
+            mats = [m.copy() for m in g.matrices]
+            mats[1][entry] = bad
+            with pytest.raises(GroupDataError, match="generator 1 has non-finite"):
+                make_generator_set(mats)
+        with pytest.raises(GroupDataError, match="generator 0 has non-finite"):
+            make_generator_set([np.full((2, 2), bad)] + list(g.matrices[1:]))
 
 
 class TestFixedPoints:
@@ -300,11 +303,6 @@ class TestSampleBoundary:
                 a, b, c = angles[i], angles[j], angles[l]
                 ma, mb, mc = (act_on_angle(m, x) for x in (a, b, c))
                 assert orient(a, b, c) == orient(ma, mb, mc)
-
-    def test_schottky_sample(self):
-        g = schottky(3.0, 3.0)
-        s = sample_boundary(g, 3)
-        assert len(s) > 20
 
 
 class TestAngleCoordinates:
