@@ -6,11 +6,17 @@ quotients of a limit curve and its dual.  Otal's horoball-length
 combination (`otal_cr_hyperbolic`) is computed on angles, as an independent
 form of the classical one.
 
+A curve pair is two separate maps on the boundary, as in the paper: the
+limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  Each side
+is computed and cached on its own, so a value of one never waits on, or
+fails with, the other.
+
 Every evaluator takes four boundary points, and also rows of indices into a
 SampleSet (`CrossRatioFn.on_indices`).  On a sample set the pairing cross
 ratio of a curve pair is a gather from two N x n arrays, the pair's
 `table(sample)` of xi and xi* at every sample point, built once per sample
-set; other evaluators loop over the rows.  The sample-set checks share one
+set; a row the gather cannot evaluate goes to `curve_cr`, which raises its
+error.  Other evaluators loop over the rows.  The sample-set checks share one
 routine (`_drive`): it draws all seeded index tuples first, evaluates b on
 every quadruple they need in one batched call, and reduces the identities
 with numpy into one report schema.
@@ -21,7 +27,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .projlin import dominant_line, normalize_rep, veronese, veronese_dual
+from .projlin import (
+    SpectrumError, dominant_line, normalize_rep, veronese, veronese_dual,
+)
 from .surfgrp import (
     BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
     circular_gap, conjugate_split, evaluate, fixed_points_2x2, translate_point,
@@ -127,60 +135,23 @@ class CurvePair:
         return self.xistar_fn(p)
 
     def table(self, sample):
-        """xi and xi* at every point of a SampleSet, built on first use."""
+        """(xi, xi*) at every point of a SampleSet: two (N, n) arrays.
+
+        Built on first use.  A value that raises DomainError, GroupDataError
+        or SpectrumError is a NaN row; `curve_cr` raises it again for a
+        tuple that needs it.
+        """
         got = self._tables.get(sample)
         if got is None:
-            got = self._tables[sample] = CurveTable.stack(self, sample.points)
+            got = tuple(np.full((len(sample), self.n), np.nan) for _ in range(2))
+            for i, p in enumerate(sample.points):
+                for fn, arr in zip((self.xi, self.xistar), got):
+                    try:
+                        arr[i] = fn(p)
+                    except (DomainError, GroupDataError, SpectrumError):
+                        pass
+            self._tables[sample] = got
         return got
-
-
-@dataclass(frozen=True, eq=False)
-class CurveTable:
-    """A curve pair stacked over the points of one sample set.
-
-    Row i of `xi` and `xistar` is the pair's value at point i.  A value that
-    raised is a NaN row, and its exception is kept in `xi_errors` or
-    `xistar_errors` under i, to be raised again by a tuple that needs it.
-    """
-
-    xi: np.ndarray           # (N, n)
-    xistar: np.ndarray       # (N, n)
-    xi_errors: dict
-    xistar_errors: dict
-
-    @staticmethod
-    def stack(pair, points):
-        arrays = (np.full((len(points), pair.n), np.nan),
-                  np.full((len(points), pair.n), np.nan))
-        errors = ({}, {})
-        for i, p in enumerate(points):
-            for fn, arr, errs in zip((pair.xi, pair.xistar), arrays, errors):
-                try:
-                    arr[i] = fn(p)
-                except ValueError as exc:
-                    errs[i] = exc.with_traceback(None)
-        return CurveTable(*arrays, *errors)
-
-    def curve_cr(self, idx):
-        """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
-
-        Raises what `curve_cr` on the rows one by one would raise first.
-        """
-        x, y, z, t = idx.T
-        vx, vz = self.xi[x], self.xi[z]
-        cy, ct = self.xistar[y], self.xistar[t]
-        dzy = np.vecdot(vz, cy)
-        dxt = np.vecdot(vx, ct)
-        # degenerate, or NaN from a value that raised
-        suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
-        for r in np.flatnonzero(suspect):
-            for errs, i in ((self.xi_errors, x[r]), (self.xi_errors, z[r]),
-                            (self.xistar_errors, y[r]), (self.xistar_errors, t[r])):
-                if i in errs:
-                    raise errs[i].with_traceback(None)
-            _require_pairings(dzy[r], dxt[r])
-        num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
-        return num / (dzy * dxt)
 
 
 def veronese_pair(n):
@@ -205,59 +176,60 @@ def veronese_pair(n):
 
 
 def representation_pair(gens, rep, n):
-    """Limit curve sampled from eigen-data of word matrices.
+    """Limit curve and dual curve sampled from eigenlines of word matrices.
 
     A point's word is split as v c v^-1 with c cyclically reduced.  At an
     attracting fixed point of c the curve value is the dominant eigenline
     of rho(c) and the dual value the dominant left eigenline of rho(c^-1);
-    repelling points swap the roles.  The values at the point v . p are then
-    transported by equivariance: xi(v p) = rho(v) xi(p) and
+    repelling points swap the roles.  The value at the point v . p is then
+    moved by equivariance: xi(v p) = rho(v) xi(p) and
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
-    never taken: that product can be far too ill-conditioned.  Values are
-    cached per (word, sign).  `rep` has one image per generator of `gens`,
-    checked here.
+    never taken: that product can be far too ill-conditioned.  xi and xi*
+    are computed apart, each cached per (word, sign), so a point costs one
+    eigenline per side asked for.  `rep` has one n x n image per generator
+    of `gens`, with finite entries, checked here.
     """
-    rep = GeneratorSet(tuple(np.asarray(m, float) for m in rep))
+    mats = tuple(np.asarray(m, float) for m in rep)
+    if any(m.shape != (n, n) for m in mats):
+        raise GroupDataError(f"representation images must be {n} x {n} matrices")
+    rep = GeneratorSet(mats)
     if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
-    cache = {}
 
-    def data(p):
-        if p.word is None:
-            raise DomainError("eigen-sampled curve needs a worded boundary point")
-        return _eigen_data(cache, rep, p.word, p.sign)
+    def side(dual):
+        cache = {}
 
-    return CurvePair(
-        n=n,
-        xi_fn=lambda p: data(p)[0],
-        xistar_fn=lambda p: data(p)[1],
-        label=f"rep-{n}",
-    )
+        def line(p):
+            if p.word is None:
+                raise DomainError("eigen-sampled curve needs a worded boundary point")
+            return _limit_line(cache, rep, dual, p.word, p.sign == "attracting")
+
+        return line
+
+    return CurvePair(n=n, xi_fn=side(False), xistar_fn=side(True),
+                     label=f"rep-{n}")
 
 
-def _eigen_data(cache, rep, word, sign):
-    """(xi, xi*) of `representation_pair` at a fixed point of word, cached.
+def _limit_line(cache, rep, dual, word, attracting):
+    """xi (or xi* when dual) of `representation_pair` at a fixed point of
+    word, cached under (word, attracting).
 
     Module-level rather than a closure calling itself, which would be a
     reference cycle that keeps the cache alive after its pair is dropped.
     """
-    key = (word.letters, sign)
+    key = (word.letters, attracting)
     got = cache.get(key)
     if got is None:
         # word products of inverses, not numerical inverses: word images
         # can be far too ill-conditioned to invert in floats
         if word.is_cyclically_reduced():
-            m = evaluate(rep, word)
-            mi = evaluate(rep, word.inverse())
-            if sign == "attracting":
-                got = (dominant_line(m), dominant_line(mi.T))
-            else:
-                got = (dominant_line(mi), dominant_line(m.T))
+            m = evaluate(rep, word if attracting != dual else word.inverse())
+            got = dominant_line(m.T if dual else m)
         else:
             v, c = conjugate_split(word)
-            xi, xistar = _eigen_data(cache, rep, c, sign)
-            got = (normalize_rep(evaluate(rep, v) @ xi),
-                   normalize_rep(evaluate(rep, v.inverse()).T @ xistar))
+            line = _limit_line(cache, rep, dual, c, attracting)
+            g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+            got = normalize_rep(g @ line)
         cache[key] = got
     return got
 
@@ -274,15 +246,31 @@ def curve_cr(pair, q):
     num = (vx @ cy) * (vz @ ct)
     dzy = vz @ cy
     dxt = vx @ ct
-    _require_pairings(dzy, dxt)
-    return num / (dzy * dxt)
-
-
-def _require_pairings(dzy, dxt):
     if abs(dzy) <= PAIRING_TOL:
         raise DomainError("degenerate pairing <xi(z), xi*(y)>")
     if abs(dxt) <= PAIRING_TOL:
         raise DomainError("degenerate pairing <xi(x), xi*(t)>")
+    return num / (dzy * dxt)
+
+
+def _table_cr(pair, sample, idx):
+    """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
+
+    A gather from `pair.table(sample)`.  Raises what `curve_cr` on the rows
+    one by one would raise first: the first row with a degenerate pairing,
+    or a NaN one from a value that raised, is handed to `curve_cr` itself.
+    """
+    xi, xistar = pair.table(sample)
+    x, y, z, t = idx.T
+    vx, vz = xi[x], xi[z]
+    cy, ct = xistar[y], xistar[t]
+    dzy = np.vecdot(vz, cy)
+    dxt = np.vecdot(vx, ct)
+    suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
+    for r in np.flatnonzero(suspect):
+        curve_cr(pair, [sample.points[i] for i in idx[r]])
+    num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
+    return num / (dzy * dxt)
 
 
 def curve_cr_fn(pair):
@@ -292,7 +280,7 @@ def curve_cr_fn(pair):
         return curve_cr(pair, (x, y, z, t))
 
     return CrossRatioFn(evaluator=ev, label=pair.label,
-                        indexed=lambda sample, idx: pair.table(sample).curve_cr(idx))
+                        indexed=lambda sample, idx: _table_cr(pair, sample, idx))
 
 
 _DUAL = [1, 0, 3, 2]  # (x, y, z, t) -> (y, x, t, z)

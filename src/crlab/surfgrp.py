@@ -99,13 +99,17 @@ class GeneratorSet:
 
     The base group has 2x2 unimodular matrices; the images of a
     representation use the same type with n x n matrices.  The inverses are
-    computed once here, so that word products only multiply.
+    computed once here, so that word products only multiply.  Non-finite
+    entries are rejected first: LAPACK inverts a NaN matrix without error.
     """
 
     matrices: tuple          # tuple of square float arrays
     inverses: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        for i, m in enumerate(self.matrices):
+            if not np.isfinite(m).all():
+                raise GroupDataError(f"generator {i} has non-finite entries")
         try:
             inverses = tuple(np.linalg.inv(m) for m in self.matrices)
         except np.linalg.LinAlgError as exc:
@@ -122,8 +126,6 @@ class GeneratorSet:
 
 def _validate(gens):
     for i, m in enumerate(gens.matrices):
-        if not np.isfinite(m).all():
-            raise GroupDataError(f"generator {i} has non-finite entries")
         det = np.linalg.det(m)
         if abs(det - 1.0) > 1e-12:
             raise GroupDataError(f"generator {i} has det {det!r}, expected 1")

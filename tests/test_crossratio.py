@@ -11,7 +11,9 @@ from crlab.crossratio import (
     embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
     representation_pair, triple_ratio, veronese_pair,
 )
-from crlab.projlin import SpectrumError, sym_power_rep, veronese, veronese_dual
+from crlab.projlin import (
+    SpectrumError, dominant_line, sym_power_rep, veronese, veronese_dual,
+)
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GroupDataError, Word, circular_gap, enumerate_words,
     evaluate, fixed_points_2x2, translate_point,
@@ -132,15 +134,64 @@ class TestCurveCrossRatio:
                  if p.word == Word.of(-1) and p.sign == "repelling")
         with pytest.raises(SpectrumError, match="not real"):
             pair.xi(p)
-        # a check re-raises the error stored with the table's NaN row
-        with pytest.raises(SpectrumError, match="not real") as raised:
+        # a check raises it again for the tuple that needs the table's NaN row
+        with pytest.raises(SpectrumError, match="not real"):
             check_axioms(curve_cr_fn(pair), sample_l2, 100)
-        table = pair.table(sample_l2)
-        rows = [i for errs, arr in ((table.xi_errors, table.xi),
-                                    (table.xistar_errors, table.xistar))
-                for i, exc in errs.items() if exc is raised.value
-                and np.all(np.isnan(arr[i]))]
-        assert len(rows) == 1
+        i = sample_l2.points.index(p)
+        xi, xistar = pair.table(sample_l2)
+        assert np.all(np.isnan(xi[i]))
+        # the dual side has its own eigenline there: the dominant line of
+        # rho(a^-1)^T, eigenvalue 4 on the axis
+        assert np.array_equal(xistar[i], [0.0, 0.0, 1.0])
+        assert np.array_equal(pair.xistar(p), [0.0, 0.0, 1.0])
+
+    def test_each_side_costs_one_eigenline(self, octagon, sample_l2, sym_reps,
+                                           monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return dominant_line(m)
+
+        monkeypatch.setattr(crossratio, "dominant_line", counted)
+        pair = representation_pair(octagon, sym_reps[3], 3)
+        p = sample_l2.points[7]
+        pair.xi(p)
+        assert len(calls) == 1
+        pair.xistar(p)
+        assert len(calls) == 2
+        # g p has the word g w g^-1: its value is xi(p) moved by rho(g)
+        g = next(g for g in (1, 2, 3, 4) if g not in (-p.word.letters[0],
+                                                       p.word.letters[-1]))
+        q = translate_point(octagon, Word.of(g), p)
+        assert not q.word.is_cyclically_reduced()
+        pair.xi(q)
+        assert len(calls) == 2
+
+    def test_image_shape_checked_at_construction(self, octagon, sym_reps):
+        # unchecked, Sym^2 images with n = 5 build a pair whose checks fail
+        # to broadcast
+        with pytest.raises(GroupDataError, match="5 x 5"):
+            representation_pair(octagon, sym_reps[3], 5)
+        with pytest.raises(GroupDataError, match="3 x 3"):
+            representation_pair(octagon, [m[:, :2] for m in sym_reps[3]], 3)
+
+    def test_non_finite_image_rejected_at_construction(self, octagon, sym_reps):
+        # LAPACK inverts a NaN matrix: unchecked, the first curve value
+        # fails with numpy's LinAlgError, which is not a curve error
+        images = (np.full((3, 3), np.nan),) + sym_reps[3][1:]
+        with pytest.raises(GroupDataError, match="generator 0 has non-finite"):
+            representation_pair(octagon, images, 3)
+
+    def test_table_lets_other_errors_through(self, sample_l2):
+        # only the errors of a curve value on a well-formed pair become NaN
+        # rows; anything else is a fault and surfaces at the build
+        def broken(p):
+            raise ValueError("not a curve error")
+
+        pair = CurvePair(n=3, xi_fn=broken, xistar_fn=broken, label="broken")
+        with pytest.raises(ValueError, match="not a curve error"):
+            pair.table(sample_l2)
 
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
