@@ -32,7 +32,7 @@ from .projlin import (
 )
 from .surfgrp import (
     BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
-    circular_gap, conjugate_split, evaluate, fixed_points_2x2, translate_point,
+    circular_gap, conjugate_split, evaluate, translate_point,
 )
 
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
@@ -301,25 +301,47 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     """count rows of k distinct indices into sample.points whose points lie
     pairwise more than min_gap apart on the circle.
 
-    Each candidate is one `rng.choice` call, kept or rejected on its own,
-    and the gaps of a batch of candidates are tested at once.  A batch
-    holds no more candidates than the rows still missing or the rejections
-    left before DRAW_TRIES in a row give up, so a one-at-a-time rejection
-    loop would draw all of them too: rng ends where count calls of
-    draw_points leave it, also when the draw raises, and a seed draws the
-    same tuples either way.
+    Each candidate is the row `rng.choice(n, size=k, replace=False)` would
+    return, drawn from the same stream, and kept or rejected on its own.
+    That call runs Floyd's algorithm, k bounded draws in [0, m] for
+    m = n-k .. n-1 where step s takes n-k+s if its draw is already taken,
+    and then shuffles the row with k-1 bounded draws in [0, m] for
+    m = k-1 .. 1.  Here a whole batch of candidates comes from one
+    `rng.integers` call with those bounds, which consumes the stream
+    exactly as the choice calls would.  numpy shuffles a tail instead when
+    n > 10,000 and k > n // 50; there the rows differ from `rng.choice`'s,
+    though the draw is still uniform.
+
+    The gaps of a batch are tested at once.  A batch holds no more
+    candidates than the rows still missing or the rejections left before
+    DRAW_TRIES in a row give up, so a one-at-a-time rejection loop would
+    draw all of them too: rng ends where count calls of draw_points leave
+    it, also when the draw raises, and a seed draws the same tuples either
+    way.
     """
     n = len(sample.points)
+    if k < 1:
+        raise DomainError(f"tuple size must be at least 1, got {k}")
     if n < k:
         raise DomainError(f"sample set too small: {n} < {k}")
     angles = sample.angles()
     r = np.arange(k)
     i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), at a fifth the cost
+    highs = [*range(n - k, n), *range(k - 1, 0, -1)]
     out = np.empty((count, k), dtype=np.intp)
     filled, run = 0, 0  # run: rejections since the last kept candidate
     while filled < count:
-        cand = np.array([rng.choice(n, size=k, replace=False)
-                         for _ in range(min(count - filled, DRAW_TRIES - run))])
+        size = (min(count - filled, DRAW_TRIES - run), 2 * k - 1)
+        rows = []
+        for u in rng.integers(0, highs, size=size, endpoint=True).tolist():
+            row = []
+            for s in range(k):  # Floyd's step s draws in [0, n-k+s]
+                row.append(n - k + s if u[s] in row else u[s])
+            for m in range(k - 1, 0, -1):  # the shuffle, as numpy runs it
+                p = u[2 * k - 1 - m]
+                row[m], row[p] = row[p], row[m]
+            rows.append(row)
+        cand = np.array(rows, dtype=np.intp)
         a = angles[cand]
         d = np.abs(a[:, i] - a[:, j]) % TWO_PI  # circular_gap, elementwise
         kept = np.flatnonzero((np.minimum(d, TWO_PI - d) > min_gap).all(axis=1))
@@ -465,9 +487,10 @@ def period(b, gens, w, y, y2=None):
     """log |b(g-, g y, g+, y)| for the element g of word w; y-independent.
 
     Evaluates at a second base point when given and insists the two values
-    agree to PERIOD_TOL, which is the content of the definition.
+    agree to PERIOD_TOL, which is the content of the definition.  The fixed
+    points g+ and g- come from `gens.fixed_points`, solved once per word.
     """
-    p_att, p_rep = fixed_points_2x2(evaluate(gens, w), word=w)
+    p_att, p_rep = gens.fixed_points(w)
     vals = []
     for base in (y,) if y2 is None else (y, y2):
         for fx in (p_att, p_rep):

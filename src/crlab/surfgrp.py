@@ -105,6 +105,7 @@ class GeneratorSet:
 
     matrices: tuple          # tuple of square float arrays
     inverses: tuple = field(init=False, repr=False)
+    _fixed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for i, m in enumerate(self.matrices):
@@ -122,6 +123,15 @@ class GeneratorSet:
 
     def letter_matrix(self, x):
         return self.matrices[x - 1] if x > 0 else self.inverses[-x - 1]
+
+    def fixed_points(self, word):
+        """(attracting, repelling) boundary points of a word of the 2x2 base
+        group, solved once per word and kept as long as the group lives."""
+        got = self._fixed.get(word.letters)
+        if got is None:
+            got = fixed_points_2x2(evaluate(self, word), word=word)
+            self._fixed[word.letters] = got
+        return got
 
 
 def _validate(gens):

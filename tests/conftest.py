@@ -16,6 +16,11 @@ def sample_l3(octagon):
 
 
 @pytest.fixture(scope="session")
+def sample_l4(octagon):
+    return sample_boundary(octagon, 4)
+
+
+@pytest.fixture(scope="session")
 def sample_l2(octagon):
     return sample_boundary(octagon, 2)
 

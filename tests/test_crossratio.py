@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crlab import crossratio
+from crlab import crossratio, surfgrp
 from crlab.crossratio import (
-    CrossRatioFn, CurvePair, DomainError, check_axioms,
+    DRAW_TRIES, CrossRatioFn, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
     embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
@@ -15,8 +15,9 @@ from crlab.projlin import (
     SpectrumError, dominant_line, sym_power_rep, veronese, veronese_dual,
 )
 from crlab.surfgrp import (
-    TWO_PI, BoundaryPoint, GroupDataError, Word, circular_gap, enumerate_words,
-    evaluate, fixed_points_2x2, translate_point,
+    TWO_PI, BoundaryPoint, GroupDataError, SampleSet, Word, circular_gap,
+    enumerate_words, evaluate, fixed_points_2x2, make_generator_set,
+    translate_point,
 )
 
 
@@ -307,6 +308,34 @@ class TestPeriods:
         y = sample_l2.points[11]
         assert period(b, octagon, w, y) == pytest.approx(
             period(b, octagon, w.inverse(), y), abs=1e-10)
+
+    def test_fixed_points_solved_once_per_group(
+            self, octagon, sample_l2, sym_reps, monkeypatch):
+        b = rep_cross_ratio(octagon, sym_reps, 3)
+        words = [Word.of(1, 2), Word.of(1, -2), Word.of(2, 1).power(3)]
+        y, y2 = sample_l2.points[4], sample_l2.points[11]
+        # the values of the path that solved the fixed points on every call
+        want = []
+        for w in words:
+            att, rep = fixed_points_2x2(evaluate(octagon, w), word=w)
+            gy = translate_point(octagon, w, y)
+            want.append(float(np.log(abs(b(rep, gy, att, y)))))
+
+        solves = []
+
+        def counted(m, word=None):
+            solves.append(word)
+            return fixed_points_2x2(m, word)
+
+        monkeypatch.setattr(surfgrp, "fixed_points_2x2", counted)
+        group = make_generator_set(octagon.matrices)
+        got = [period(b, group, w, y) for w in words]
+        assert got == want
+        assert [period(b, group, w, y, y2) for w in words] == want
+        assert solves == words
+        fresh = make_generator_set(octagon.matrices)
+        assert period(b, fresh, words[0], y) == want[0]
+        assert solves == words + words[:1]
 
     def test_period_additivity_on_powers(self, octagon, sample_l2, sym_reps):
         b = rep_cross_ratio(octagon, sym_reps, 3)
@@ -669,6 +698,16 @@ def draw_points_loop(sample, rng, k, min_gap=1e-3, tries=400):
     raise DomainError("could not draw a separated tuple; lower min_gap")
 
 
+def floyd_replaces(sample, k, count, min_gap, seed):
+    """Whether a draw's first batch of candidates repeats a draw in Floyd's
+    steps, so that `draw_indices` takes its n - k + s branch."""
+    n = len(sample)
+    highs = [*range(n - k, n), *range(k - 1, 0, -1)]
+    draws = np.random.default_rng(seed).integers(
+        0, highs, size=(min(count, DRAW_TRIES), 2 * k - 1), endpoint=True)
+    return any(len(set(d)) < k for d in draws[:, :k].tolist())
+
+
 class TestBatchedChecks:
     @pytest.mark.parametrize("sample_name", ["sample_l2", "sample_l3"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -718,7 +757,8 @@ class TestBatchedChecks:
             group=sample_l2.group)
         assert check_axioms(b, others, 50, seed=0)["passed"]
 
-    def test_draw_indices_matches_draw_points(self, sample_l2, sample_l3):
+    def test_draw_indices_matches_draw_points(self, sample_l2, sample_l3,
+                                              sample_l4):
         # rows, or the error raised, and where the rng stream ends
         def outcome(draw, sample, k, count, min_gap, seed):
             rng = np.random.default_rng(seed)
@@ -748,13 +788,29 @@ class TestBatchedChecks:
             *((sample_l2, 8, 40, 0.5, seed) for seed in range(5)),
             *((sample_l2, 7, 40, 0.55, seed) for seed in range(5)),
         ]
+        # Floyd's step s takes n - k + s when its draw is already in the row:
+        # often on six points, about once in 270 rows on the 2,736 points of
+        # L = 4 at k = 5
+        six = SampleSet(points=sample_l2.points[::8][:6], group=sample_l2.group)
+        replacing = [
+            [(six, k, 20, 1e-12, seed) for k in range(1, 7) for seed in range(4)],
+            [(sample_l4, k, 400, 1e-3, seed) for k in (4, 5) for seed in range(4)],
+        ]
         raised = 0
-        for case in cases:
+        for case in cases + replacing[0] + replacing[1]:
             want = outcome(one_at_a_time(draw_points_loop), *case)
             assert outcome(batched, *case) == want
             assert outcome(one_at_a_time(draw_points), *case) == want
             raised += isinstance(want[0], str)
         assert raised == 6
+        # the cases do take that branch: 19 of 24 and 6 of 8 of them
+        replaced = [sum(floyd_replaces(*case) for case in group)
+                    for group in replacing]
+        assert replaced == [19, 6]
+
+    def test_draw_indices_rejects_empty_tuples(self, sample_l2):
+        with pytest.raises(DomainError, match="at least 1"):
+            draw_indices(sample_l2, np.random.default_rng(0), 0, 5)
 
     def test_argmax_semantics(self, sample_l2):
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")
