@@ -32,7 +32,7 @@ from .projlin import (
 )
 from .surfgrp import (
     BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
-    circular_gap, conjugate_split, evaluate, translate_point,
+    circular_gap, conjugate_split, evaluate, line_of_angle, translate_point,
 )
 
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
@@ -433,8 +433,8 @@ def check_axioms(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
     cocycles and the unit locus hold identically in the pairings, so on
     those evaluators they measure float error only; the zero locus, xi(x)
     in the kernel of xi*(x), carries the content.  The whole battery tests
-    evaluators that are not pairing quotients, such as Otal's or corrupted
-    ones.
+    evaluators that are not pairing quotients, such as `classical_cr_fn` or
+    corrupted ones.
     """
     idx, (v, swapped, zw1, zw2, wy1, wy2, zero, unit1, unit2) = _drive(
         b, sample, count, 5, _AXIOM_QUADS, seed, min_gap)
@@ -465,7 +465,7 @@ def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
     which leaves every pairing unchanged; there the check measures float
     error only, as symmetry and the cocycles of `check_axioms` do.  It
     carries content on evaluators that are not pairing quotients, such as
-    Otal's, reconstructed or corrupted ones.
+    `classical_cr_fn` or corrupted ones.
     """
     gens = sample.group
     rng = np.random.default_rng(seed)
@@ -573,20 +573,6 @@ def embed_from_cr(b, w, e, u, sample, count=50, seed=0, tol=1e-9):
 
 # -- constant-curvature length cross ratio ------------------------------------
 
-def _disk_horoball_to_halfplane(phi, h):
-    """Boundary coordinate and horoball diameter in the upper half-plane.
-
-    The horoball is the disk-model horoball tangent at angle phi with
-    Euclidean diameter h; any point z of a horocycle tangent at real x has
-    D = |z - x|^2 / Im z.
-    """
-    x = np.tan(phi / 2.0)
-    p = (1.0 - h) * np.exp(1j * phi)      # top point of the disk horoball
-    cz = 1j * (1.0 - p) / (1.0 + p)       # Cayley: disk -> upper half-plane
-    d = abs(cz - x) ** 2 / cz.imag
-    return x, d
-
-
 def otal_cr_hyperbolic(angles, horoballs):
     """Alternating horoball-truncated length combination of an ideal square.
 
@@ -594,34 +580,28 @@ def otal_cr_hyperbolic(angles, horoballs):
     l_ij is the distance between the horoballs at corners i and j; the
     result is independent of the horoball sizes and has the modulus of the
     classical cross ratio of the four boundary points.
+
+    Everything is in the unit disk.  The horoball tangent at angle a with
+    Euclidean diameter h lies log((2 - h) / h) from the center, and two
+    horoballs at a and b are apart by their two depths plus
+    2 log |sin((a - b) / 2)|, negative when they overlap.  The overlap test
+    reads exp(l_ij), which is 0 at a coincident pair, so log(0) is never
+    taken; a pair whose length is below -1e-12 raises DomainError.
     """
-    angles = [a % TWO_PI for a in angles]
     if len(angles) != 4 or len(horoballs) != 4:
         raise ValueError("need four boundary angles and four horoball sizes")
-    # rotate the configuration away from the half-plane chart's pole at pi
-    best, rot = -1.0, 0.0
-    for k in range(16):
-        cand = k * TWO_PI / 16.0
-        margin = min(circular_gap((a + cand) % TWO_PI, np.pi) for a in angles)
-        if margin > best:
-            best, rot = margin, cand
-    xs, ds = [], []
-    for a, h in zip(angles, horoballs):
-        if not 0.0 < h < 1.0:
-            raise ValueError("horoball parameter must lie in (0, 1)")
-        x, d = _disk_horoball_to_halfplane((a + rot) % TWO_PI, h)
-        xs.append(x)
-        ds.append(d)
+    if not all(0.0 < h < 1.0 for h in horoballs):
+        raise ValueError("horoball parameter must lie in (0, 1)")
+    size = [(2.0 - h) / h for h in horoballs]  # exp of each horoball's depth
+    lengths = {}
     for i in range(4):
         for j in range(i + 1, 4):
-            if (xs[i] - xs[j]) ** 2 < ds[i] * ds[j] * (1.0 - 1e-12):
+            e = np.sin(0.5 * (angles[i] - angles[j])) ** 2 * size[i] * size[j]
+            if e < 1.0 - 1e-12:
                 raise DomainError(f"horoballs {i} and {j} overlap")
-
-    def length(i, j):
-        return float(np.log((xs[i] - xs[j]) ** 2 / (ds[i] * ds[j])))
-
-    total = length(0, 1) - length(1, 2) + length(2, 3) - length(3, 0)
-    eps = np.sign(classical_cr(*xs))
+            lengths[i, j] = float(np.log(e))
+    total = lengths[0, 1] - lengths[1, 2] + lengths[2, 3] - lengths[0, 3]
+    eps = np.sign(classical_cr(*(line_of_angle(a) for a in angles)))
     return float(eps * np.exp(0.5 * total))
 
 

@@ -381,13 +381,13 @@ def sample_boundary(gens, max_len):
     """Fixed points of all enumerated words, deduplicated and sorted.
 
     On a coincidence within DEDUP_TOL radians the point of the shorter
-    word wins (better conditioned eigen-data).
+    word wins (better conditioned eigen-data).  The points are the ones
+    `gens.fixed_points` keeps, so a later solve for a sampled word is a
+    lookup.
     """
     pts = []
     for w in enumerate_words(gens, max_len):
-        att, rep = fixed_points_2x2(evaluate(gens, w), word=w)
-        pts.append(att)
-        pts.append(rep)
+        pts.extend(gens.fixed_points(w))
     pts.sort(key=lambda p: (p.circle_coord, len(p.word), p.word.letters))
     kept = []
     for p in pts:

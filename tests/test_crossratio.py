@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from crlab.projlin import (
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GroupDataError, SampleSet, Word, circular_gap,
     enumerate_words, evaluate, fixed_points_2x2, make_generator_set,
-    translate_point,
+    sample_boundary, translate_point,
 )
 
 
@@ -337,6 +338,34 @@ class TestPeriods:
         assert period(b, fresh, words[0], y) == want[0]
         assert solves == words + words[:1]
 
+    def test_sampled_words_are_not_solved_again(self, octagon, monkeypatch):
+        group = make_generator_set(octagon.matrices)
+        sample = sample_boundary(group, 2)
+        for p in sample.points:
+            att, rep = group.fixed_points(p.word)
+            assert p is (att if p.sign == "attracting" else rep)
+
+        solves = []
+
+        def counted(m, word=None):
+            solves.append(word)
+            return fixed_points_2x2(m, word)
+
+        monkeypatch.setattr(surfgrp, "fixed_points_2x2", counted)
+        b = classical_cr_fn()
+        for p in sample.points[::7]:
+            period(b, group, p.word, sample.points[len(sample) // 2 - 1])
+        assert solves == []
+
+    def test_base_point_at_a_fixed_point_rejected(self, octagon, sample_l2):
+        b = classical_cr_fn()
+        w = Word.of(1, 2)
+        y = sample_l2.points[4]
+        for p in octagon.fixed_points(w):
+            for bases in ((p,), (y, p)):
+                with pytest.raises(DomainError, match="collides"):
+                    period(b, octagon, w, *bases)
+
     def test_period_additivity_on_powers(self, octagon, sample_l2, sym_reps):
         b = rep_cross_ratio(octagon, sym_reps, 3)
         w = Word.of(2, 1)
@@ -361,6 +390,18 @@ class TestTripleRatio:
         for _ in range(25):
             x, y, z, t, t2 = draw_points(sample_l2, rng, 5)
             triple_ratio(b, x, y, z, t, t2=t2, tol=1e-9)
+
+    def test_t_dependence_flagged(self):
+        classical = classical_cr_fn()
+
+        def corrupted(x, y, z, t):
+            return classical(x, y, z, t) * (1.0 + t.circle_coord)
+
+        b = CrossRatioFn(evaluator=corrupted, label="corrupted")
+        x, y, z, t3, t5 = [BoundaryPoint.from_angle(2 * np.arctan(v))
+                           for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
+        with pytest.raises(DomainError, match="depends on t"):
+            triple_ratio(b, x, y, z, t3, t2=t5)
 
     def test_cyclic_invariance(self, sample_l2):
         b = classical_cr_fn()
@@ -460,6 +501,38 @@ class TestOtal:
     def test_overlapping_horoballs_rejected(self):
         with pytest.raises(DomainError, match="overlap"):
             otal_cr_hyperbolic([0.3, 0.35, 2.9, 4.8], [0.9, 0.9, 0.1, 0.1])
+
+    @pytest.mark.parametrize("angles", [[0.3, 1.4, 1.4, 4.8],
+                                        [0.3, 1.4, 1.4 + TWO_PI, 4.8]])
+    def test_coincident_angles_overlap(self, angles):
+        # the horoballs' distance is log(0) there, and is never taken
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="horoballs 1 and 2 overlap"):
+                otal_cr_hyperbolic(angles, [0.05] * 4)
+
+    @pytest.mark.parametrize("angles,horoballs", [
+        ([0.3, 1.4, 2.9], [0.05] * 4),
+        ([0.3, 1.4, 2.9, 4.8], [0.05] * 3),
+        ([0.3, 1.4, 2.9, 4.8, 5.5], [0.05] * 5),
+        ([0.3, 1.4, 2.9, 4.8], [0.05, 0.0, 0.05, 0.05]),
+        ([0.3, 1.4, 2.9, 4.8], [0.05, 0.05, 1.0, 0.05]),
+    ])
+    def test_bad_input_rejected(self, angles, horoballs):
+        with pytest.raises(ValueError, match="four|must lie in") as exc:
+            otal_cr_hyperbolic(angles, horoballs)
+        assert not isinstance(exc.value, DomainError)
+
+    def test_full_turn_leaves_value(self):
+        angles = [0.3, 1.4, 2.9, 4.8]
+        h = [0.05, 0.02, 0.08, 0.03]
+        want = otal_cr_hyperbolic(angles, h)
+        for i in range(4):
+            for turn in (TWO_PI, -TWO_PI):
+                moved = list(angles)
+                moved[i] += turn
+                got = otal_cr_hyperbolic(moved, h)
+                assert got == pytest.approx(want, rel=1e-13)
 
 
 def is_counter_clockwise(a, b, c):
@@ -811,6 +884,11 @@ class TestBatchedChecks:
     def test_draw_indices_rejects_empty_tuples(self, sample_l2):
         with pytest.raises(DomainError, match="at least 1"):
             draw_indices(sample_l2, np.random.default_rng(0), 0, 5)
+
+    def test_draw_indices_rejects_small_samples(self, sample_l2):
+        six = SampleSet(points=sample_l2.points[:6], group=sample_l2.group)
+        with pytest.raises(DomainError, match="too small: 6 < 7"):
+            draw_indices(six, np.random.default_rng(0), 7, 5)
 
     def test_argmax_semantics(self, sample_l2):
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")

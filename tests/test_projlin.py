@@ -207,6 +207,11 @@ class TestSymPower:
         with pytest.raises(ValueError):
             sym_power_rep(3, np.diag([2.0, 1.0]))
 
+    def test_rejects_non_2x2(self):
+        for a in (np.eye(3), np.eye(2).ravel()):
+            with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+                sym_power_rep(3, a)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, bad):
         # NaN passes the determinant test, which compares False either way

@@ -6,10 +6,11 @@ import pytest
 from crlab import surfgrp
 from crlab.projlin import sym_power_rep
 from crlab.surfgrp import (
-    GENUS2_RELATOR, BoundaryPoint, GeneratorSet, GroupDataError, Word,
-    act_on_angle, angle_of_line, circular_gap, conjugate_split,
-    enumerate_words, evaluate, fixed_points_2x2, line_of_angle,
-    make_generator_set, octagon_fuchsian, sample_boundary, translate_point,
+    DEDUP_TOL, GENUS2_RELATOR, TWO_PI, BoundaryPoint, GeneratorSet,
+    GroupDataError, Word, act_on_angle, angle_of_line, circular_gap,
+    conjugate_split, enumerate_words, evaluate, fixed_points_2x2,
+    line_of_angle, make_generator_set, octagon_fuchsian, sample_boundary,
+    translate_point,
 )
 
 
@@ -34,6 +35,10 @@ class TestWords:
             assert v * c * v.inverse() == w
             assert c.is_cyclically_reduced()
         assert conjugate_split(Word.of(1, -2, 3, 2, -1))[0].letters == (1, -2)
+
+    def test_str(self):
+        assert str(Word(())) == "1"
+        assert str(Word.of(1, -2, 3, -4)) == "a.b'.c.d'"
 
     def test_power(self):
         w = Word.of(1, 2)
@@ -165,6 +170,10 @@ class TestOctagon:
         mats[0] = np.diag([2.0, 0.5])  # breaks the relator
         with pytest.raises(GroupDataError, match="relator"):
             make_generator_set(mats)
+        mats = list(g.matrices)
+        mats[2] = 1.001 * mats[2]
+        with pytest.raises(GroupDataError, match="generator 2 has det"):
+            make_generator_set(mats)
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_generator_count_rejected(self, count):
@@ -208,6 +217,8 @@ class TestFixedPoints:
         r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         with pytest.raises(GroupDataError, match="not hyperbolic"):
             fixed_points_2x2(r)
+        with pytest.raises(GroupDataError, match=r"hyperbolic .*: word a\.b'$"):
+            fixed_points_2x2(r, word=Word.of(1, -2))
 
     def test_equivariance_of_conjugates(self):
         g = octagon_fuchsian()
@@ -236,6 +247,27 @@ class TestSampleBoundary:
         assert np.all(gaps > 1e-9)
         wrap = 2 * np.pi - (angles[-1] - angles[0])
         assert wrap > 1e-9
+
+    def test_wrap_around_duplicates_merged(self):
+        # Conjugated by a rotation that moves a generator's attracting fixed
+        # point to angle 0, the group has the fixed points of x and x.x round
+        # to either side of 0 for some offsets of a few ulps: only the
+        # wrap-around step of the dedup can merge them.
+        g = octagon_fuchsian()
+        count = len(sample_boundary(g, 2))
+        straddled = 0
+        for x in (1, 2, 3, 4, -1, -2, -3, -4):
+            theta = 0.5 * fixed_points_2x2(g.letter_matrix(x))[0].circle_coord
+            for k in range(-3, 4):
+                a = theta + k * np.spacing(theta)
+                r = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+                rotated = make_generator_set([r.T @ m @ r for m in g.matrices])
+                raw = [p.circle_coord for w in enumerate_words(rotated, 2)
+                       for p in rotated.fixed_points(w)]
+                if min(raw) <= DEDUP_TOL and max(raw) >= TWO_PI - DEDUP_TOL:
+                    straddled += 1
+                    assert len(sample_boundary(rotated, 2)) == count
+        assert straddled
 
     def test_angles_cached_read_only(self):
         s = sample_boundary(octagon_fuchsian(), 2)
