@@ -262,8 +262,8 @@ def _table_cr(pair, sample, idx):
     """
     xi, xistar = pair.table(sample)
     x, y, z, t = idx.T
-    vx, vz = xi[x], xi[z]
-    cy, ct = xistar[y], xistar[t]
+    vx, vz = xi.take(x, axis=0), xi.take(z, axis=0)
+    cy, ct = xistar.take(y, axis=0), xistar.take(t, axis=0)
     dzy = np.vecdot(vz, cy)
     dxt = np.vecdot(vx, ct)
     suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
@@ -308,9 +308,11 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     and then shuffles the row with k-1 bounded draws in [0, m] for
     m = k-1 .. 1.  Here a whole batch of candidates comes from one
     `rng.integers` call with those bounds, which consumes the stream
-    exactly as the choice calls would.  numpy shuffles a tail instead when
-    n > 10,000 and k > n // 50; there the rows differ from `rng.choice`'s,
-    though the draw is still uniform.
+    exactly as the choice calls would, and the rows are built column by
+    column over the batch: each Floyd step fills one column, each shuffle
+    step swaps one column with the drawn position of every row.  numpy
+    shuffles a tail instead when n > 10,000 and k > n // 50; there the rows
+    differ from `rng.choice`'s, though the draw is still uniform.
 
     The gaps of a batch are tested at once.  A batch holds no more
     candidates than the rows still missing or the rejections left before
@@ -327,22 +329,21 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     angles = sample.angles()
     r = np.arange(k)
     i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), at a fifth the cost
-    highs = [*range(n - k, n), *range(k - 1, 0, -1)]
+    highs = np.array([*range(n - k, n), *range(k - 1, 0, -1)])
     out = np.empty((count, k), dtype=np.intp)
     filled, run = 0, 0  # run: rejections since the last kept candidate
     while filled < count:
         size = (min(count - filled, DRAW_TRIES - run), 2 * k - 1)
-        rows = []
-        for u in rng.integers(0, highs, size=size, endpoint=True).tolist():
-            row = []
-            for s in range(k):  # Floyd's step s draws in [0, n-k+s]
-                row.append(n - k + s if u[s] in row else u[s])
-            for m in range(k - 1, 0, -1):  # the shuffle, as numpy runs it
-                p = u[2 * k - 1 - m]
-                row[m], row[p] = row[p], row[m]
-            rows.append(row)
-        cand = np.array(rows, dtype=np.intp)
-        a = angles[cand]
+        u = rng.integers(0, highs, size=size, endpoint=True)
+        cand = np.empty((len(u), k), dtype=np.intp)
+        for s in range(k):  # Floyd's step s draws in [0, n-k+s]
+            taken = (cand[:, :s] == u[:, s, None]).any(axis=1)
+            cand[:, s] = np.where(taken, n - k + s, u[:, s])
+        rows = np.arange(len(u))
+        for m in range(k - 1, 0, -1):  # the shuffle, as numpy runs it
+            p = u[:, 2 * k - 1 - m]
+            cand[:, m], cand[rows, p] = cand[rows, p], cand[:, m].copy()
+        a = angles.take(cand)
         d = np.abs(a[:, i] - a[:, j]) % TWO_PI  # circular_gap, elementwise
         kept = np.flatnonzero((np.minimum(d, TWO_PI - d) > min_gap).all(axis=1))
         out[filled:filled + len(kept)] = cand[kept]
@@ -369,7 +370,7 @@ def _drive(b, sample, count, k, quads, seed, min_gap):
     of `quads`.
     """
     idx = draw_indices(sample, np.random.default_rng(seed), k, count, min_gap)
-    vals = b.on_indices(sample, idx[:, quads].reshape(-1, 4))
+    vals = b.on_indices(sample, idx.take(quads, axis=1).reshape(-1, 4))
     return idx, vals.reshape(count, len(quads)).T
 
 

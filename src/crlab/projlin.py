@@ -58,17 +58,9 @@ def veronese_dual(n, p):
     if n < 2:
         raise ValueError("n must be >= 2")
     x, y = normalize_rep(p).tolist()
-    comb = _binomials(n - 1).tolist()
-    return normalize_rep(
-        np.array([comb[i] * x ** i * (-y) ** (n - 1 - i) for i in range(n)])
-    )
-
-
-def _binomials(m):
-    row = np.ones(m + 1)
-    for k in range(1, m + 1):
-        row[k] = row[k - 1] * (m - k + 1) / k
-    return row
+    return normalize_rep(np.array(
+        [math.comb(n - 1, i) * x ** i * (-y) ** (n - 1 - i) for i in range(n)]
+    ))
 
 
 def sym_power_rep(n, a):
@@ -100,8 +92,7 @@ def sym_power_rep(n, a):
 
 def _pow_coeffs(u, v, m):
     """Coefficients of (u x + v y)^m in the basis x^m, x^(m-1) y, ..., y^m."""
-    comb = _binomials(m)
-    return np.array([comb[k] * u ** (m - k) * v ** k for k in range(m + 1)])
+    return np.array([math.comb(m, k) * u ** (m - k) * v ** k for k in range(m + 1)])
 
 
 def dominant_line(m):

@@ -250,6 +250,9 @@ def enumerate_words(gens, max_len):
 def evaluate(gens, word):
     """Plain ordered product of generator images along a word.
 
+    A new array each call: it starts from a copy of the first letter's
+    matrix, not from the identity, which only the empty word returns.
+
     `gens` is the base group's 2x2 matrices, or a GeneratorSet of SL(n,R)
     images for a representation.
 
@@ -261,8 +264,11 @@ def evaluate(gens, word):
     cancellation error, and fails outright on an ill-conditioned product
     whose determinant rounds to 0.
     """
-    acc = np.eye(gens.matrices[0].shape[0])
-    for x in word.letters:
+    if not word.letters:
+        return np.eye(gens.matrices[0].shape[0])
+    first, *rest = word.letters
+    acc = gens.letter_matrix(first).copy()
+    for x in rest:
         acc = acc @ gens.letter_matrix(x)
     return acc
 

@@ -781,6 +781,23 @@ def floyd_replaces(sample, k, count, min_gap, seed):
     return any(len(set(d)) < k for d in draws[:, :k].tolist())
 
 
+def batch_sizes(sample, k, count, min_gap, seed):
+    """The number of candidates in each batch `draw_indices` draws."""
+    rng = np.random.default_rng(seed)
+    sizes = []
+
+    class Recording:
+        def integers(self, low, high, size, endpoint):
+            sizes.append(int(size[0]))
+            return rng.integers(low, high, size=size, endpoint=endpoint)
+
+    try:
+        draw_indices(sample, Recording(), k, count, min_gap)
+    except DomainError:
+        pass
+    return sizes
+
+
 class TestBatchedChecks:
     @pytest.mark.parametrize("sample_name", ["sample_l2", "sample_l3"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -860,7 +877,12 @@ class TestBatchedChecks:
             # hundreds of rejections, one-candidate batches each
             *((sample_l2, 8, 40, 0.5, seed) for seed in range(5)),
             *((sample_l2, 7, 40, 0.55, seed) for seed in range(5)),
+            # the draws of check_relation13 at its default gap
+            *((sample_l3, 6, 100, 1e-3, seed) for seed in range(4)),
         ]
+        # a batch ends inside a run of rejections, so the next one is cut to
+        # DRAW_TRIES - run candidates while hundreds of rows are still missing
+        cut = (sample_l3, 5, 2 * DRAW_TRIES, 0.3, 1)
         # Floyd's step s takes n - k + s when its draw is already in the row:
         # often on six points, about once in 270 rows on the 2,736 points of
         # L = 4 at k = 5
@@ -870,7 +892,7 @@ class TestBatchedChecks:
             [(sample_l4, k, 400, 1e-3, seed) for k in (4, 5) for seed in range(4)],
         ]
         raised = 0
-        for case in cases + replacing[0] + replacing[1]:
+        for case in [*cases, cut, *replacing[0], *replacing[1]]:
             want = outcome(one_at_a_time(draw_points_loop), *case)
             assert outcome(batched, *case) == want
             assert outcome(one_at_a_time(draw_points), *case) == want
@@ -880,6 +902,10 @@ class TestBatchedChecks:
         replaced = [sum(floyd_replaces(*case) for case in group)
                     for group in replacing]
         assert replaced == [19, 6]
+        # the first batch holds DRAW_TRIES candidates and leaves at least
+        # count - DRAW_TRIES rows missing, so a shorter second one was cut
+        first, second = batch_sizes(*cut)[:2]
+        assert first == DRAW_TRIES > second
 
     def test_draw_indices_rejects_empty_tuples(self, sample_l2):
         with pytest.raises(DomainError, match="at least 1"):

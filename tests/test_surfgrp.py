@@ -100,17 +100,22 @@ class TestEvaluate:
         m = evaluate(g, Word.of(1, 2, -3, 4, 1))
         assert abs(np.linalg.det(m) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 9])
     def test_cached_inverses_keep_products_bit_identical(self, n):
         g = octagon_fuchsian()
         images = tuple(sym_power_rep(n, m) for m in g.matrices)
         wrapped = GeneratorSet(images)
-        for w in enumerate_words(g, 3)[::7]:
+        assert np.array_equal(evaluate(wrapped, Word(())), np.eye(n))
+        for w in enumerate_words(g, 3):
             acc = np.eye(n)
             for x in w.letters:  # inverting on every use, as before caching
                 m = images[abs(x) - 1]
                 acc = acc @ (np.linalg.inv(m) if x < 0 else m)
             assert np.array_equal(evaluate(wrapped, w), acc)
+        # a one-letter product is a copy, not the stored generator
+        want = images[0].copy()
+        evaluate(wrapped, Word.of(1))[:] = 0.0
+        assert np.array_equal(wrapped.matrices[0], want)
 
     @pytest.mark.parametrize("letters", [(1, 2, 3, 4) * 3, (2, 1) * 5])
     def test_eigenvalue_matches_exact_product(self, letters):
