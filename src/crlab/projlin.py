@@ -38,6 +38,22 @@ def normalize_rep(v):
     return v
 
 
+def normalize_rows(v):
+    """`normalize_rep` on every row of a (..., 2) array, with the same bytes.
+
+    Returns (rows, ok): ok is False where `normalize_rep` would raise, and
+    the row there is not meaningful.  The norm is np.vecdot's sum, which
+    matches `normalize_rep`'s dot product where einsum and a*a + b*b do not.
+    """
+    with np.errstate(all="ignore"):
+        nrm = np.sqrt(np.vecdot(v, v))
+        v = v / nrm[..., None]
+    x, y = v[..., 0], v[..., 1]
+    lead = np.where(abs(x) > _SIG, x, np.where(abs(y) > _SIG, y, 0.0))
+    ok = np.isfinite(nrm) & (nrm >= 1e-300)
+    return np.where((lead < 0)[..., None], -v, v), ok
+
+
 def veronese(n, p):
     """Moment-curve embedding RP^1 -> P(R^n), [x:y] -> [x^(n-1) : ... : y^(n-1)].
 

@@ -7,6 +7,13 @@ representation is always carried alongside that base data.  The image of a
 word is the plain product of its letters' matrices (`evaluate`), never
 rescaled: everything read off it is projective or an eigenvalue of a
 unimodular product.
+
+`sample_boundary` solves all its words in one stacked pass: it walks the
+word tree by length, forms each product from its parent prefix's with one
+stacked matmul per length, and solves every fixed point at once
+(`_fixed_point_stack`).  Both give the bytes of the one-matrix path,
+`evaluate` and `fixed_points_2x2`, which stays for single words and as the
+tests' reference.
 """
 
 import math
@@ -15,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .projlin import normalize_rep
+from .projlin import normalize_rep, normalize_rows
 
 TWO_PI = 2.0 * np.pi
 DEDUP_TOL = 1e-9          # radians between distinct boundary points
@@ -50,14 +57,6 @@ class Word:
     def conjugated_by(self, v):
         """v * self * v^-1."""
         return v * self * v.inverse()
-
-    def power(self, k):
-        if k < 0:
-            return self.inverse().power(-k)
-        w = Word(())
-        for _ in range(k):
-            w = w * self
-        return w
 
     def is_cyclically_reduced(self):
         ls = self.letters
@@ -223,28 +222,54 @@ def octagon_fuchsian():
 
 # -- word enumeration and evaluation ----------------------------------------
 
+def _letters(rank):
+    """The signed letters in natural integer order."""
+    return tuple(range(-rank, 0)) + tuple(range(1, rank + 1))
+
+
+def _word_tree(rank, max_len):
+    """Walk the freely reduced words level by level, lengths 1..max_len.
+
+    Yields (words, parent, letter, cyclic) per level.  `words` holds the
+    level's letter tuples in lexicographic order; word i is word parent[i]
+    of the level before followed by `_letters(rank)[letter[i]]`, so the
+    children of each word stay together and in order.  `cyclic` indexes the
+    cyclically reduced words of the level.
+    """
+    letters = np.array(_letters(rank))
+    words, last = [()], np.zeros(1, int)
+    for _ in range(max_len):
+        parent, letter = np.nonzero(letters != -last[:, None])
+        last = letters[letter]
+        words = [words[i] + (x,)
+                 for i, x in zip(parent.tolist(), last.tolist())]
+        cyclic = [i for i, w in enumerate(words) if w[0] != -w[-1]]
+        yield words, parent, letter, cyclic
+
+
 def enumerate_words(gens, max_len):
     """All freely and cyclically reduced nontrivial words of length <= max_len.
 
     Deterministic order: by length, then lexicographic on the signed-index
     tuples (natural integer order).
     """
-    letters = sorted(
-        list(range(-gens.rank, 0)) + list(range(1, gens.rank + 1))
-    )
-    out = []
-    frontier = [()]
-    for _ in range(max_len):
-        nxt = []
-        for prefix in frontier:
-            for x in letters:
-                if prefix and prefix[-1] == -x:
-                    continue
-                nxt.append(prefix + (x,))
-        nxt.sort()
-        frontier = nxt
-        out.extend(Word(w) for w in nxt if w[0] != -w[-1])
-    return out
+    return [Word(words[i]) for words, _, _, cyclic in
+            _word_tree(gens.rank, max_len) for i in cyclic]
+
+
+def _tree_products(gens, max_len):
+    """`_word_tree`'s levels with the product of every word.
+
+    Yields (words, cyclic, products) per length.  A word's product is its
+    parent prefix's product times its last letter's matrix, one stacked
+    matmul per length: `evaluate`'s left-to-right chain, so the same bytes.
+    """
+    letters = np.stack([gens.letter_matrix(x) for x in _letters(gens.rank)])
+    prods = None
+    for words, parent, letter, cyclic in _word_tree(gens.rank, max_len):
+        step = letters[letter]
+        prods = step if prods is None else np.matmul(prods[parent], step)
+        yield words, cyclic, prods
 
 
 def evaluate(gens, word):
@@ -383,18 +408,68 @@ class SampleSet:
         return self._angles
 
 
+def _fixed_point_stack(m):
+    """`fixed_points_2x2`'s steps on an (N, 2, 2) stack, with the same bytes.
+
+    Returns (lines, angles, eigenvalues, ok): lines is (N, 2, 2), the
+    attracting then the repelling unit line of each matrix, and angles and
+    eigenvalues are (N, 2) in the same order.  ok is False where
+    `fixed_points_2x2` would raise (a non-hyperbolic or non-finite matrix);
+    the values there are not meaningful, and computing them may set
+    floating-point flags, which the caller's np.errstate decides on.
+    """
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    flip = tr < 0  # PSL normalization
+    m = np.where(flip[:, None, None], -m, m)
+    tr = np.where(flip, -tr, tr)[:, None]
+    disc = tr * tr - 4.0 * np.linalg.det(m)[:, None]
+    root = np.sqrt(disc)
+    lam = np.concatenate([0.5 * (tr + root), 0.5 * (tr - root)], axis=1)
+    # kernel of (m - lam I), choosing the better-conditioned row
+    a, b, c, d = (m[:, i, j, None] for i in (0, 1) for j in (0, 1))
+    r1 = np.stack(np.broadcast_arrays(b, lam - a), axis=-1)
+    r2 = np.stack(np.broadcast_arrays(lam - d, c), axis=-1)
+    pick = np.sqrt(np.vecdot(r1, r1)) >= np.sqrt(np.vecdot(r2, r2))
+    lines, ok = normalize_rows(np.where(pick[..., None], r1, r2))
+    v, _ = normalize_rows(lines)  # angle_of_line's own normalization
+    theta = np.arctan2(v[..., 1], v[..., 0]) % np.pi
+    ok = (disc[:, 0] > HYPERBOLIC_TOL ** 2) & ok.all(axis=1)
+    return lines, (2.0 * theta) % TWO_PI, lam, ok
+
+
 def sample_boundary(gens, max_len):
     """Fixed points of all enumerated words, deduplicated and sorted.
 
+    The words are solved in one stacked pass (`_tree_products`, then
+    `_fixed_point_stack`), with the bytes of `evaluate` and
+    `fixed_points_2x2`.  A word that one-matrix path would reject is handed
+    to it, so the first such word in enumeration order raises its error.
+
     On a coincidence within DEDUP_TOL radians the point of the shorter
     word wins (better conditioned eigen-data).  The points are the ones
-    `gens.fixed_points` keeps, so a later solve for a sampled word is a
-    lookup.
+    `gens.fixed_points` keeps: a word solved before keeps its points, and
+    a later solve for a sampled word is a lookup.
     """
+    words, mats = [], []
+    # a row that overflows or goes NaN here is one the one-matrix path
+    # rejects; it is solved again there, with that path's warnings
+    with np.errstate(all="ignore"):
+        for level, cyclic, prods in _tree_products(gens, max_len):
+            words += [Word(level[i]) for i in cyclic]
+            mats.append(prods[cyclic])
+        if not words:
+            return SampleSet(points=(), group=gens)
+        lines, angles, eigs, ok = _fixed_point_stack(np.concatenate(mats))
     pts = []
-    for w in enumerate_words(gens, max_len):
-        pts.extend(gens.fixed_points(w))
-    pts.sort(key=lambda p: (p.circle_coord, len(p.word), p.word.letters))
+    for w, line, phi, lam, good in zip(
+            words, lines, angles, eigs.tolist(), ok.tolist()):
+        pair = (BoundaryPoint(w, "attracting", phi[0], line[0], lam[0]),
+                BoundaryPoint(w, "repelling", phi[1], line[1], lam[1])
+                ) if good else gens.fixed_points(w)
+        pts.extend(gens._fixed.setdefault(w.letters, pair))
+    # by angle, then by (length, letters): pts is in enumeration order
+    order = np.argsort([p.circle_coord for p in pts], kind="stable")
+    pts = [pts[i] for i in order.tolist()]
     kept = []
     for p in pts:
         if kept and p.circle_coord - kept[-1].circle_coord <= DEDUP_TOL:

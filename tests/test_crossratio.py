@@ -313,7 +313,7 @@ class TestPeriods:
     def test_fixed_points_solved_once_per_group(
             self, octagon, sample_l2, sym_reps, monkeypatch):
         b = rep_cross_ratio(octagon, sym_reps, 3)
-        words = [Word.of(1, 2), Word.of(1, -2), Word.of(2, 1).power(3)]
+        words = [Word.of(1, 2), Word.of(1, -2), Word.of(2, 1, 2, 1, 2, 1)]
         y, y2 = sample_l2.points[4], sample_l2.points[11]
         # the values of the path that solved the fixed points on every call
         want = []
@@ -371,7 +371,7 @@ class TestPeriods:
         w = Word.of(2, 1)
         y = sample_l2.points[4]
         l1 = period(b, octagon, w, y)
-        l3 = period(b, octagon, w.power(3), y)
+        l3 = period(b, octagon, Word.of(2, 1, 2, 1, 2, 1), y)
         assert l3 == pytest.approx(3 * l1, abs=1e-8)
 
 

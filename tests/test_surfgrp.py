@@ -14,6 +14,12 @@ from crlab.surfgrp import (
 )
 
 
+def rotated_group(g, a):
+    """The group conjugated by the rotation through the angle a."""
+    r = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+    return make_generator_set([r.T @ m @ r for m in g.matrices])
+
+
 class TestWords:
     def test_free_reduction(self):
         assert Word.of(1, -1).letters == ()
@@ -39,11 +45,6 @@ class TestWords:
     def test_str(self):
         assert str(Word(())) == "1"
         assert str(Word.of(1, -2, 3, -4)) == "a.b'.c.d'"
-
-    def test_power(self):
-        w = Word.of(1, 2)
-        assert w.power(3).letters == (1, 2, 1, 2, 1, 2)
-        assert w.power(-1).letters == (-2, -1)
 
 
 class TestEnumeration:
@@ -264,15 +265,92 @@ class TestSampleBoundary:
         for x in (1, 2, 3, 4, -1, -2, -3, -4):
             theta = 0.5 * fixed_points_2x2(g.letter_matrix(x))[0].circle_coord
             for k in range(-3, 4):
-                a = theta + k * np.spacing(theta)
-                r = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-                rotated = make_generator_set([r.T @ m @ r for m in g.matrices])
+                rotated = rotated_group(g, theta + k * np.spacing(theta))
                 raw = [p.circle_coord for w in enumerate_words(rotated, 2)
                        for p in rotated.fixed_points(w)]
                 if min(raw) <= DEDUP_TOL and max(raw) >= TWO_PI - DEDUP_TOL:
                     straddled += 1
                     assert len(sample_boundary(rotated, 2)) == count
         assert straddled
+
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_stacked_solve_matches_one_matrix_path(self, rotate):
+        # the tree's products are evaluate's bytes, and the stacked fixed
+        # points fixed_points_2x2's, on every word of length <= 4
+        g = octagon_fuchsian()
+        if rotate:
+            g = rotated_group(g, 0.5 * fixed_points_2x2(g.letter_matrix(1))[0].circle_coord)
+        else:
+            g = make_generator_set(g.matrices)
+        for words, cyclic, prods in surfgrp._tree_products(g, 4):
+            for w, m in zip(words, prods):
+                assert m.tobytes() == evaluate(g, Word(w)).tobytes(), w
+        sample = sample_boundary(g, 4)
+        words = enumerate_words(g, 4)
+        negative = 0
+        for w in words:
+            m = evaluate(g, w)
+            negative += m[0, 0] + m[1, 1] < 0
+            for got, want in zip(g.fixed_points(w), fixed_points_2x2(m, word=w)):
+                assert got.word == want.word and got.sign == want.sign
+                assert got.line.tobytes() == want.line.tobytes(), w
+                assert type(got.circle_coord) is type(want.circle_coord)
+                assert got.circle_coord.hex() == want.circle_coord.hex(), w
+                assert got.eigenvalue.hex() == want.eigenvalue.hex(), w
+        # the PSL sign flip runs: a trace is invariant under conjugation
+        assert (len(words), negative) == (2816, 1296)
+        assert set(sample.points) <= {p for w in words for p in g.fixed_points(w)}
+
+    def test_empty_sample(self):
+        s = sample_boundary(make_generator_set(octagon_fuchsian().matrices), 0)
+        assert s.points == ()
+        assert s.angles().shape == (0,)
+
+    @staticmethod
+    def loop_error(mats, max_len):
+        """The error the word-by-word solve raises first, in word order."""
+        g = GeneratorSet(mats)
+        with pytest.raises(Exception) as exc:
+            for w in enumerate_words(g, max_len):
+                fixed_points_2x2(evaluate(g, w), word=w)
+        return exc.type, str(exc.value)
+
+    def test_first_non_hyperbolic_word_named(self):
+        # a and b are hyperbolic, a.b and its inverses and conjugates
+        # elliptic (trace 1/2); b'.a' comes first in enumeration order
+        mats = (np.diag([2.0, 0.5]), np.array([[-0.5, 1.0], [-2.5, 3.0]]))
+        assert len(sample_boundary(GeneratorSet(mats), 1)) == 4
+        for max_len in (2, 3):
+            with pytest.raises(GroupDataError, match=r"word b'\.a'$") as exc:
+                sample_boundary(GeneratorSet(mats), max_len)
+            assert (exc.type, str(exc.value)) == self.loop_error(mats, max_len)
+
+    def test_overflow_raises_as_the_loop_does(self):
+        # a.a's trace squares to inf, and a.a.a.a overflows: the stacked
+        # solve hands the first such word to fixed_points_2x2
+        mats = (np.diag([1e100, 1e-100]), np.diag([2.0, 0.5]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(evaluate(GeneratorSet(mats), Word.of(1, 1, 1, 1))).all()
+            with pytest.raises(ValueError, match="zero or non-finite") as exc:
+                sample_boundary(GeneratorSet(mats), 4)
+            assert (exc.type, str(exc.value)) == self.loop_error(mats, 4)
+        with np.errstate(all="raise"):
+            with pytest.raises(FloatingPointError) as exc:
+                sample_boundary(GeneratorSet(mats), 4)
+            assert (exc.type, str(exc.value)) == self.loop_error(mats, 4)
+
+    def test_resampling_keeps_point_objects(self):
+        g = make_generator_set(octagon_fuchsian().matrices)
+        s2 = sample_boundary(g, 2)
+        solved = {w.letters: g.fixed_points(w) for w in enumerate_words(g, 2)}
+        s3 = sample_boundary(g, 3)
+        for w in enumerate_words(g, 2):
+            assert g.fixed_points(w) is solved[w.letters]
+        short = [p for p in s3.points if len(p.word) <= 2]
+        assert [p.circle_coord for p in short] == list(s2.angles())
+        for p in short:
+            att, rep = solved[p.word.letters]
+            assert p is (att if p.sign == "attracting" else rep)
 
     def test_angles_cached_read_only(self):
         s = sample_boundary(octagon_fuchsian(), 2)
