@@ -322,8 +322,8 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     way.
     """
     n = len(sample.points)
-    if k < 1:
-        raise DomainError(f"tuple size must be at least 1, got {k}")
+    if k < 1 or count < 1:
+        raise DomainError(f"tuple size and count must be at least 1: {k}, {count}")
     if n < k:
         raise DomainError(f"sample set too small: {n} < {k}")
     angles = sample.angles()
@@ -468,6 +468,8 @@ def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
     carries content on evaluators that are not pairing quotients, such as
     `classical_cr_fn` or corrupted ones.
     """
+    if count < 1:
+        raise DomainError(f"tuple count must be at least 1, got {count}")
     gens = sample.group
     rng = np.random.default_rng(seed)
     viol, witness = [], []
@@ -638,8 +640,10 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     power n - 1 and falls below PAIRING_TOL: with `veronese_pair(3)` or
     `veronese_pair(5)`, t above about 26-27 raises DomainError.  Toward x-
     log |b| flattens at its rounding floor near -39, so t below about -38
-    raises "not bracketed".
+    raises "not bracketed".  A non-finite t raises DomainError at once.
     """
+    if not np.isfinite(t):
+        raise DomainError(f"flow time must be finite, got {t!r}")
     lo, mid, hi = _unwrap_arc(
         x_minus.circle_coord, x_zero.circle_coord, x_plus.circle_coord
     )

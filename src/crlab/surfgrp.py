@@ -8,12 +8,12 @@ word is the plain product of its letters' matrices (`evaluate`), never
 rescaled: everything read off it is projective or an eigenvalue of a
 unimodular product.
 
-`sample_boundary` solves all its words in one stacked pass: it walks the
-word tree by length, forms each product from its parent prefix's with one
+`sample_boundary` solves its words in one stacked pass: it walks the word
+tree by length, forms each product from its parent prefix's with one
 stacked matmul per length, and solves every fixed point at once
-(`_fixed_point_stack`).  Both give the bytes of the one-matrix path,
-`evaluate` and `fixed_points_2x2`, which stays for single words and as the
-tests' reference.
+(`_fixed_point_stack`), with the bytes of the one-matrix path `evaluate`
+and `fixed_points_2x2`, kept for single words and as the tests' reference.
+Only `GeneratorSet.fixed_points` caches solved points.
 """
 
 import math
@@ -445,41 +445,37 @@ def sample_boundary(gens, max_len):
     `fixed_points_2x2`.  A word that one-matrix path would reject is handed
     to it, so the first such word in enumeration order raises its error.
 
-    On a coincidence within DEDUP_TOL radians the point of the shorter
-    word wins (better conditioned eigen-data).  The points are the ones
-    `gens.fixed_points` keeps: a word solved before keeps its points, and
-    a later solve for a sampled word is a lookup.
+    The dedup runs on the solved arrays and only the kept points are built.
+    On a coincidence within DEDUP_TOL radians the point of the shorter word
+    wins (better conditioned eigen-data).  The sample depends on the group
+    alone: it neither reads nor fills the cache of `gens.fixed_points`.
     """
     words, mats = [], []
     # a row that overflows or goes NaN here is one the one-matrix path
     # rejects; it is solved again there, with that path's warnings
     with np.errstate(all="ignore"):
         for level, cyclic, prods in _tree_products(gens, max_len):
-            words += [Word(level[i]) for i in cyclic]
+            words += [level[i] for i in cyclic]
             mats.append(prods[cyclic])
         if not words:
             return SampleSet(points=(), group=gens)
         lines, angles, eigs, ok = _fixed_point_stack(np.concatenate(mats))
-    pts = []
-    for w, line, phi, lam, good in zip(
-            words, lines, angles, eigs.tolist(), ok.tolist()):
-        pair = (BoundaryPoint(w, "attracting", phi[0], line[0], lam[0]),
-                BoundaryPoint(w, "repelling", phi[1], line[1], lam[1])
-                ) if good else gens.fixed_points(w)
-        pts.extend(gens._fixed.setdefault(w.letters, pair))
-    # by angle, then by (length, letters): pts is in enumeration order
-    order = np.argsort([p.circle_coord for p in pts], kind="stable")
-    pts = [pts[i] for i in order.tolist()]
+    if not ok.all():
+        w = Word(words[int(np.argmin(ok))])
+        fixed_points_2x2(evaluate(gens, w), word=w)
+    # row 2i + s is word i's attracting (s = 0) or repelling (s = 1) point;
+    # by angle, then by (length, letters): the rows are in enumeration order
+    angles, lines, lam = angles.ravel(), lines.reshape(-1, 2), eigs.ravel().tolist()
+    phi, size = angles.tolist(), [len(w) for w in words for _ in (0, 1)]
     kept = []
-    for p in pts:
-        if kept and p.circle_coord - kept[-1].circle_coord <= DEDUP_TOL:
-            if len(p.word) < len(kept[-1].word):
-                kept[-1] = p
-            continue
-        kept.append(p)
-    # wrap-around duplicate
-    if len(kept) > 1 and circular_gap(kept[0].circle_coord, kept[-1].circle_coord) <= DEDUP_TOL:
-        if len(kept[-1].word) < len(kept[0].word):
-            kept[0] = kept[-1]
-        kept.pop()
-    return SampleSet(points=tuple(kept), group=gens)
+    for i in np.argsort(angles, kind="stable").tolist():
+        if not kept or phi[i] - phi[kept[-1]] > DEDUP_TOL:
+            kept.append(i)
+        elif size[i] < size[kept[-1]]:
+            kept[-1] = i
+    # wrap-around duplicate: the first point stays unless the last is shorter
+    if len(kept) > 1 and circular_gap(phi[kept[0]], phi[kept[-1]]) <= DEDUP_TOL:
+        kept[0] = min(kept[0], kept.pop(), key=size.__getitem__)
+    return SampleSet(points=tuple(
+        BoundaryPoint(Word(words[i // 2]), ("attracting", "repelling")[i % 2],
+                      angles[i], lines[i], lam[i]) for i in kept), group=gens)

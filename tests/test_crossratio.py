@@ -338,13 +338,7 @@ class TestPeriods:
         assert period(b, fresh, words[0], y) == want[0]
         assert solves == words + words[:1]
 
-    def test_sampled_words_are_not_solved_again(self, octagon, monkeypatch):
-        group = make_generator_set(octagon.matrices)
-        sample = sample_boundary(group, 2)
-        for p in sample.points:
-            att, rep = group.fixed_points(p.word)
-            assert p is (att if p.sign == "attracting" else rep)
-
+    def test_sampled_word_solved_once_by_period(self, octagon, monkeypatch):
         solves = []
 
         def counted(m, word=None):
@@ -352,10 +346,16 @@ class TestPeriods:
             return fixed_points_2x2(m, word)
 
         monkeypatch.setattr(surfgrp, "fixed_points_2x2", counted)
-        b = classical_cr_fn()
-        for p in sample.points[::7]:
-            period(b, group, p.word, sample.points[len(sample) // 2 - 1])
+        group = make_generator_set(octagon.matrices)
+        sample = sample_boundary(group, 4)
         assert solves == []
+        # the sample leaves the group's fixed-point cache to period
+        b = classical_cr_fn()
+        words = list(dict.fromkeys(p.word for p in sample.points[::300]))
+        y = BoundaryPoint.from_angle(1.2345)
+        got = [period(b, group, w, y) for w in words]
+        assert [period(b, group, w, y) for w in words] == got
+        assert solves == words
 
     def test_base_point_at_a_fixed_point_rejected(self, octagon, sample_l2):
         b = classical_cr_fn()
@@ -694,6 +694,17 @@ class TestFlow:
             got = flow_from_cr(self.b, x_minus, x_zero, x_plus, t)
             assert circular_gap(got.circle_coord, exact) < 1e-12, t
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # rejected before any evaluation: a NaN target would end the search at x0
+        calls = []
+        b = curve_cr_fn(veronese_pair(3))
+        counted = CrossRatioFn(evaluator=lambda *q: calls.append(q) or b(*q),
+                               label=b.label)
+        with pytest.raises(DomainError, match="must be finite"):
+            flow_from_cr(counted, self.x_minus, self.x_zero, self.x_plus, t)
+        assert calls == []
+
     def test_unreachable_target_not_bracketed(self):
         flat = CrossRatioFn(evaluator=lambda x, y, z, t: 1.0, label="flat")
         for t in (0.5, -0.5):
@@ -910,6 +921,13 @@ class TestBatchedChecks:
     def test_draw_indices_rejects_empty_tuples(self, sample_l2):
         with pytest.raises(DomainError, match="at least 1"):
             draw_indices(sample_l2, np.random.default_rng(0), 0, 5)
+
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("check", [check_axioms, check_invariance,
+                                       check_relation12, check_relation13])
+    def test_fewer_than_one_tuple_rejected(self, sample_l2, check, count):
+        with pytest.raises(DomainError, match="at least 1"):
+            check(classical_cr_fn(), sample_l2, count)
 
     def test_draw_indices_rejects_small_samples(self, sample_l2):
         six = SampleSet(points=sample_l2.points[:6], group=sample_l2.group)

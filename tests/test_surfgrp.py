@@ -260,7 +260,7 @@ class TestSampleBoundary:
         # to either side of 0 for some offsets of a few ulps: only the
         # wrap-around step of the dedup can merge them.
         g = octagon_fuchsian()
-        count = len(sample_boundary(g, 2))
+        lengths = sorted(len(p.word) for p in sample_boundary(g, 2).points)
         straddled = 0
         for x in (1, 2, 3, 4, -1, -2, -3, -4):
             theta = 0.5 * fixed_points_2x2(g.letter_matrix(x))[0].circle_coord
@@ -270,36 +270,50 @@ class TestSampleBoundary:
                        for p in rotated.fixed_points(w)]
                 if min(raw) <= DEDUP_TOL and max(raw) >= TWO_PI - DEDUP_TOL:
                     straddled += 1
-                    assert len(sample_boundary(rotated, 2)) == count
+                    # merged, and the shorter word's point kept
+                    points = sample_boundary(rotated, 2).points
+                    assert sorted(len(p.word) for p in points) == lengths
         assert straddled
 
     @pytest.mark.parametrize("rotate", [False, True])
     def test_stacked_solve_matches_one_matrix_path(self, rotate):
-        # the tree's products are evaluate's bytes, and the stacked fixed
-        # points fixed_points_2x2's, on every word of length <= 4
+        # the tree's products are evaluate's bytes, the stacked fixed points
+        # fixed_points_2x2's, on every word of length <= 4; so are the
+        # sample's points
         g = octagon_fuchsian()
         if rotate:
             g = rotated_group(g, 0.5 * fixed_points_2x2(g.letter_matrix(1))[0].circle_coord)
         else:
             g = make_generator_set(g.matrices)
-        for words, cyclic, prods in surfgrp._tree_products(g, 4):
-            for w, m in zip(words, prods):
+        words, mats = [], []
+        for level, cyclic, prods in surfgrp._tree_products(g, 4):
+            for w, m in zip(level, prods):
                 assert m.tobytes() == evaluate(g, Word(w)).tobytes(), w
-        sample = sample_boundary(g, 4)
-        words = enumerate_words(g, 4)
-        negative = 0
-        for w in words:
+            words += [Word(level[i]) for i in cyclic]
+            mats.append(prods[cyclic])
+        assert words == enumerate_words(g, 4)
+        lines, angles, eigs, ok = surfgrp._fixed_point_stack(np.concatenate(mats))
+        assert ok.all()
+        solved, negative = {}, 0
+        for w, line, phi, lam in zip(words, lines, angles, eigs):
             m = evaluate(g, w)
             negative += m[0, 0] + m[1, 1] < 0
-            for got, want in zip(g.fixed_points(w), fixed_points_2x2(m, word=w)):
-                assert got.word == want.word and got.sign == want.sign
-                assert got.line.tobytes() == want.line.tobytes(), w
-                assert type(got.circle_coord) is type(want.circle_coord)
-                assert got.circle_coord.hex() == want.circle_coord.hex(), w
-                assert got.eigenvalue.hex() == want.eigenvalue.hex(), w
+            solved[w] = fixed_points_2x2(m, word=w)
+            for s, want in enumerate(solved[w]):
+                assert line[s].tobytes() == want.line.tobytes(), w
+                assert type(phi[s]) is type(want.circle_coord)
+                assert phi[s].hex() == want.circle_coord.hex(), w
+                assert float(lam[s]).hex() == want.eigenvalue.hex(), w
         # the PSL sign flip runs: a trace is invariant under conjugation
         assert (len(words), negative) == (2816, 1296)
-        assert set(sample.points) <= {p for w in words for p in g.fixed_points(w)}
+        for p in sample_boundary(g, 4).points:
+            want = solved[p.word][p.sign == "repelling"]
+            assert (p.word, p.sign) == (want.word, want.sign)
+            assert p.line.tobytes() == want.line.tobytes(), p.word
+            assert type(p.circle_coord) is type(want.circle_coord)
+            assert p.circle_coord.hex() == want.circle_coord.hex(), p.word
+            assert type(p.eigenvalue) is type(want.eigenvalue)
+            assert p.eigenvalue.hex() == want.eigenvalue.hex(), p.word
 
     def test_empty_sample(self):
         s = sample_boundary(make_generator_set(octagon_fuchsian().matrices), 0)
@@ -339,18 +353,16 @@ class TestSampleBoundary:
                 sample_boundary(GeneratorSet(mats), 4)
             assert (exc.type, str(exc.value)) == self.loop_error(mats, 4)
 
-    def test_resampling_keeps_point_objects(self):
+    def test_longer_sample_keeps_the_short_points(self):
         g = make_generator_set(octagon_fuchsian().matrices)
-        s2 = sample_boundary(g, 2)
-        solved = {w.letters: g.fixed_points(w) for w in enumerate_words(g, 2)}
-        s3 = sample_boundary(g, 3)
-        for w in enumerate_words(g, 2):
-            assert g.fixed_points(w) is solved[w.letters]
+        s2, s3 = sample_boundary(g, 2), sample_boundary(g, 3)
         short = [p for p in s3.points if len(p.word) <= 2]
         assert [p.circle_coord for p in short] == list(s2.angles())
-        for p in short:
-            att, rep = solved[p.word.letters]
-            assert p is (att if p.sign == "attracting" else rep)
+        for p, q in zip(short, s2.points):
+            assert (p.word, p.sign) == (q.word, q.sign)
+            assert p.line.tobytes() == q.line.tobytes()
+            assert p.circle_coord.hex() == q.circle_coord.hex()
+            assert p.eigenvalue.hex() == q.eigenvalue.hex()
 
     def test_angles_cached_read_only(self):
         s = sample_boundary(octagon_fuchsian(), 2)
