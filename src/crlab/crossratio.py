@@ -19,7 +19,7 @@ set; a row the gather cannot evaluate goes to `curve_cr`, which raises its
 error.  Other evaluators loop over the rows.  The sample-set checks share one
 routine (`_drive`): it draws all seeded index tuples first, evaluates b on
 every quadruple they need in one batched call, and reduces the identities
-with numpy into one report schema.
+with numpy into one report schema; each check has the one budget CHECK_TOL.
 """
 
 from dataclasses import dataclass, field
@@ -40,6 +40,7 @@ DEFAULT_MIN_GAP = 1e-3   # angular floor for randomly drawn tuples
 DRAW_TRIES = 400         # rejected draws before a tuple draw gives up
 FLOW_TOL = 1e-12         # width of the flow's final bracket, in angle
 PERIOD_TOL = 1e-8        # largest gap between a period at two base points
+CHECK_TOL = 1e-9         # a check passes when its worst violation is below this
 EMBED_PRE_TOL = 1e-6     # product-identity violation `embed_from_cr` accepts
 
 
@@ -52,7 +53,8 @@ class CrossRatioFn:
     """Evaluator on quadruples of boundary points plus provenance label.
 
     `indexed(sample, idx)` evaluates b on the rows (x, y, z, t) of an (m, 4)
-    array of sample indices; without it, `on_indices` loops the evaluator.
+    array of sample indices; only `curve_cr_fn` sets it.  Without it,
+    `on_indices` loops the evaluator.
     """
 
     evaluator: callable
@@ -283,16 +285,10 @@ def curve_cr_fn(pair):
                         indexed=lambda sample, idx: _table_cr(pair, sample, idx))
 
 
-_DUAL = [1, 0, 3, 2]  # (x, y, z, t) -> (y, x, t, z)
-
-
 def dual_cr(b):
     """The dual cross ratio b*(x,y,z,t) = b(y,x,t,z); it has the same periods."""
-    return CrossRatioFn(
-        evaluator=lambda x, y, z, t: b(y, x, t, z),
-        label=f"dual({b.label})",
-        indexed=lambda sample, idx: b.on_indices(sample, idx[:, _DUAL]),
-    )
+    return CrossRatioFn(evaluator=lambda x, y, z, t: b(y, x, t, z),
+                        label=f"dual({b.label})")
 
 
 # -- seeded tuple streams and the shared check loop ---------------------------
@@ -396,17 +392,17 @@ def _angles(sample, row):
     return tuple(sample.points[i].circle_coord for i in row)
 
 
-def _report(check, b, count, tol, max_violation, argmax, **fields):
+def _report(check, b, count, max_violation, argmax, **fields):
     """The report of every check; `fields` are the check's own entries."""
     return {"check": check, "label": b.label, "tuples": count, **fields,
             "max_violation": max_violation, "argmax": argmax,
-            "passed": bool(max_violation < tol), "tol": tol}
+            "passed": bool(max_violation < CHECK_TOL), "tol": CHECK_TOL}
 
 
-def _identity_report(check, b, sample, idx, viol, tol):
+def _identity_report(check, b, sample, idx, viol):
     """Report of one identity; the witness is the angles of its tuple."""
     worst, k = _worst(viol)
-    return _report(check, b, len(idx), tol, worst,
+    return _report(check, b, len(idx), worst,
                    None if k is None else _angles(sample, idx[k]))
 
 
@@ -421,14 +417,15 @@ _AXIOM_QUADS = np.array([
 ])
 
 
-def check_axioms(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
+def check_axioms(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violations of the defining identities over seeded tuples.
 
     Checks symmetry under swapping the two pairs, the zero locus, both
     multiplicative cocycle rules, the unit locus, and reports the observed
-    strictness floor min |b - 1| on separated tuples.  Each axiom's witness
-    in `argmax` is the (x, y, z, t) angles of the first tuple reaching its
-    worst violation, or None when no violation is above 0.
+    strictness floor min |b - 1| on separated tuples; passes when the worst
+    violation is below CHECK_TOL.  Each axiom's witness in `argmax` is the
+    (x, y, z, t) angles of the first tuple reaching its worst violation, or
+    None when no violation is above 0.
 
     For a pairing cross ratio such as `curve_cr_fn`'s, symmetry, both
     cocycles and the unit locus hold identically in the pairings, so on
@@ -451,15 +448,16 @@ def check_axioms(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
         worst[name], k = _worst(viol)
         argmax[name] = None if k is None else _angles(sample, idx[k, :4])
     floor = float(np.fmin.reduce(np.abs(v - 1.0), initial=np.inf))
-    return _report("axioms", b, count, tol, max(worst.values()), argmax,
+    return _report("axioms", b, count, max(worst.values()), argmax,
                    per_axiom=worst, strictness_floor=floor)
 
 
-def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
+def check_invariance(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Max violation of b(gx, gy, gz, gt) = b(x, y, z, t) over the generators.
 
-    Evaluates tuple by tuple, as the moved points are not sample points; the
-    witness is the generator and the angles of the tuple.
+    Passes when it is below CHECK_TOL.  Evaluates tuple by tuple, as the
+    moved points are not sample points; the witness is the generator and
+    the angles of the tuple.
 
     On a `representation_pair` the values at moved points come from
     equivariance, xi(g p) = rho(g) xi(p) and xi*(g p) = rho(g)^-T xi*(p),
@@ -480,7 +478,7 @@ def check_invariance(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP
         viol.append(_rel(b(*pts), b(*moved)))
         witness.append((g, tuple(p.circle_coord for p in pts)))
     worst, k = _worst(np.array(viol, float))
-    return _report("invariance", b, count, tol, worst,
+    return _report("invariance", b, count, worst,
                    None if k is None else witness[k])
 
 
@@ -508,8 +506,8 @@ def period(b, gens, w, y, y2=None):
     return vals[0]
 
 
-def triple_ratio(b, x, y, z, t, t2=None, tol=1e-9):
-    """b(x,y,z,t) b(z,x,y,t) b(y,z,x,t); checked independent of t."""
+def triple_ratio(b, x, y, z, t, t2=None):
+    """b(x,y,z,t) b(z,x,y,t) b(y,z,x,t); checked independent of t to CHECK_TOL."""
 
     def tr(ref):
         return b(x, y, z, ref) * b(z, x, y, ref) * b(y, z, x, ref)
@@ -517,7 +515,7 @@ def triple_ratio(b, x, y, z, t, t2=None, tol=1e-9):
     v = tr(t)
     if t2 is not None:
         v2 = tr(t2)
-        if _rel(v, v2) > tol:
+        if _rel(v, v2) > CHECK_TOL:
             raise DomainError(f"triple ratio depends on t: {v!r} vs {v2!r}")
     return v
 
@@ -528,30 +526,30 @@ _RELATION12_QUADS = np.array([(0, 1, 2, 3), (3, 1, 2, 0)])
 _RELATION13_QUADS = np.array([(0, 2, 4, 5), (1, 3, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5)])
 
 
-def check_relation12(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
+def check_relation12(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violation of 1 - b(f,v,e,u) = b(u,v,e,f) over seeded tuples."""
     idx, (fveu, uvef) = _drive(b, sample, count, 4, _RELATION12_QUADS, seed,
                                min_gap)
     return _identity_report("relation-affine", b, sample, idx,
-                            _rel(1.0 - fveu, uvef), tol)
+                            _rel(1.0 - fveu, uvef))
 
 
-def check_relation13(b, sample, count, tol=1e-9, seed=0, min_gap=DEFAULT_MIN_GAP):
+def check_relation13(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violation of the 2x2 product identity
     (b(f,v,e,u)-1)(b(g,w,e,u)-1) = (b(f,w,e,u)-1)(b(g,v,e,u)-1)."""
     idx, (fv, gw, fw, gv) = _drive(b, sample, count, 6, _RELATION13_QUADS, seed,
                                    min_gap)
     viol = _rel((fv - 1.0) * (gw - 1.0), (fw - 1.0) * (gv - 1.0))
-    return _identity_report("relation-product", b, sample, idx, viol, tol)
+    return _identity_report("relation-product", b, sample, idx, viol)
 
 
-def embed_from_cr(b, w, e, u, sample, count=50, seed=0, tol=1e-9):
+def embed_from_cr(b, w, e, u, sample, count=50, seed=0):
     """Boundary embedding x -> b(x, w, e, u) realizing b as a classical
     cross ratio in the image coordinates.
 
     Requires the product identity to hold on the sample set, up to
     EMBED_PRE_TOL; the reproduction error is verified on seeded quadruples
-    of it.  Returns the embedding map and that report.
+    of it, against CHECK_TOL.  Returns the embedding map and that report.
     """
     pre = check_relation13(b, sample, max(10, count // 5), seed=seed)
     if pre["max_violation"] > EMBED_PRE_TOL:
@@ -571,7 +569,7 @@ def embed_from_cr(b, w, e, u, sample, count=50, seed=0, tol=1e-9):
     images = [classical_cr(*(fmap(sample.points[i]) for i in row))
               for row in idx.tolist()]
     return fmap, _identity_report("embedding-reproduction", b, sample, idx,
-                                  _rel(np.array(images, float), v), tol)
+                                  _rel(np.array(images, float), v))
 
 
 # -- constant-curvature length cross ratio ------------------------------------

@@ -133,7 +133,10 @@ class GeneratorSet:
         return got
 
 
-def _validate(gens):
+def make_generator_set(matrices):
+    """The genus-2 base group on four 2x2 matrices, checked: each has unit
+    determinant and the surface relator is +-I up to 1e-8."""
+    gens = GeneratorSet(tuple(np.asarray(m, float).reshape(2, 2) for m in matrices))
     for i, m in enumerate(gens.matrices):
         det = np.linalg.det(m)
         if abs(det - 1.0) > 1e-12:
@@ -145,11 +148,6 @@ def _validate(gens):
     if res > 1e-8:
         raise GroupDataError(f"surface relator residual {res:.3e}")
     return gens
-
-
-def make_generator_set(matrices):
-    mats = tuple(np.asarray(m, float).reshape(2, 2) for m in matrices)
-    return _validate(GeneratorSet(matrices=mats))
 
 
 # -- explicit constructions -------------------------------------------------

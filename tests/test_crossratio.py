@@ -6,7 +6,7 @@ import pytest
 
 from crlab import crossratio, surfgrp
 from crlab.crossratio import (
-    DRAW_TRIES, CrossRatioFn, CurvePair, DomainError, check_axioms,
+    CHECK_TOL, DRAW_TRIES, CrossRatioFn, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
     embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
@@ -195,6 +195,32 @@ class TestCurveCrossRatio:
         with pytest.raises(ValueError, match="not a curve error"):
             pair.table(sample_l2)
 
+    def test_table_built_once_per_sample(self, sample_l2, sample_l3):
+        # a check on a sample set it has seen evaluates no curve value again
+        calls = {"xi": 0, "xistar": 0}
+
+        def counted(side, fn):
+            def value(p):
+                calls[side] += 1
+                return fn(3, p.line)
+            return value
+
+        pair = CurvePair(n=3, xi_fn=counted("xi", veronese),
+                         xistar_fn=counted("xistar", veronese_dual),
+                         label="counted")
+        b = curve_cr_fn(pair)
+        check_axioms(b, sample_l2, 50, seed=0)
+        built = dict(calls)
+        assert built == {"xi": len(sample_l2), "xistar": len(sample_l2)}
+        table = pair.table(sample_l2)
+        check_axioms(b, sample_l2, 50, seed=1)
+        check_relation13(b, sample_l2, 50, seed=2)
+        assert calls == built and pair.table(sample_l2) is table
+        # another sample set gets its own table, and the first one stays
+        check_axioms(b, sample_l3, 50, seed=0)
+        assert calls == {side: built[side] + len(sample_l3) for side in calls}
+        assert pair.table(sample_l2) is table
+
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
         rng = np.random.default_rng(6)
@@ -262,12 +288,12 @@ class TestTransportedCurveValues:
 
 class TestAxioms:
     def test_classical_axioms(self, sample_l2):
-        rep = check_axioms(classical_cr_fn(), sample_l2, 300, tol=1e-12, seed=0)
-        assert rep["passed"], rep
+        rep = check_axioms(classical_cr_fn(), sample_l2, 300, seed=0)
+        assert rep["passed"] and rep["max_violation"] < 1e-12, rep
 
     def test_fuchsian_axioms_n3(self, octagon, sample_l2, sym_reps):
         b = rep_cross_ratio(octagon, sym_reps, 3)
-        rep = check_axioms(b, sample_l2, 200, tol=1e-9, seed=1)
+        rep = check_axioms(b, sample_l2, 200, seed=1)
         assert rep["passed"], rep
 
     def test_corrupted_cross_ratio_flagged(self, sample_l2):
@@ -276,7 +302,7 @@ class TestAxioms:
             evaluator=lambda x, y, z, t: base(x, y, z, t) + 0.1,
             label="corrupted",
         )
-        rep = check_axioms(bad, sample_l2, 100, tol=1e-9, seed=2)
+        rep = check_axioms(bad, sample_l2, 100, seed=2)
         assert rep["max_violation"] > 0.05
 
     def test_invariance(self, octagon, sample_l2, sym_reps):
@@ -284,8 +310,7 @@ class TestAxioms:
         # by rho(g); the comparison still needs a conditioning floor on the
         # pairing sizes
         b = rep_cross_ratio(octagon, sym_reps, 3)
-        rep = check_invariance(b, sample_l2, 100, tol=1e-9, seed=3,
-                               min_gap=0.08)
+        rep = check_invariance(b, sample_l2, 100, seed=3, min_gap=0.08)
         assert rep["passed"], rep
 
 
@@ -357,6 +382,22 @@ class TestPeriods:
         assert [period(b, group, w, y) for w in words] == got
         assert solves == words
 
+    def test_base_point_dependence_rejected(self, octagon, sample_l2):
+        # scaling by 1 + 1e-3 t moves the period with the base point y = t:
+        # 3.057683 at y, 3.058533 at y2, far beyond PERIOD_TOL
+        classical = classical_cr_fn()
+        skewed = CrossRatioFn(
+            evaluator=lambda x, y, z, t: (classical(x, y, z, t)
+                                          * (1.0 + 1e-3 * t.circle_coord)),
+            label="skewed")
+        w = Word.of(1, 2)
+        y, y2 = sample_l2.points[4], sample_l2.points[11]
+        assert period(skewed, octagon, w, y) == pytest.approx(3.057683, abs=1e-6)
+        assert period(skewed, octagon, w, y2) == pytest.approx(3.058533, abs=1e-6)
+        with pytest.raises(DomainError, match="depends on base point"):
+            period(skewed, octagon, w, y, y2)
+        assert period(classical, octagon, w, y, y2) == period(classical, octagon, w, y)
+
     def test_base_point_at_a_fixed_point_rejected(self, octagon, sample_l2):
         b = classical_cr_fn()
         w = Word.of(1, 2)
@@ -381,15 +422,17 @@ class TestTripleRatio:
                for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
         x, y, z, t3, t5 = pts
         b = classical_cr_fn()
-        v = triple_ratio(b, x, y, z, t3, t2=t5, tol=1e-10)
+        v = triple_ratio(b, x, y, z, t3, t2=t5)
         assert v == pytest.approx(-1.0, rel=1e-10)
+        # the two values agree well inside CHECK_TOL
+        assert abs(v - triple_ratio(b, x, y, z, t5)) < 1e-10
 
     def test_t_independence_fuchsian(self, octagon, sample_l2, sym_reps):
         b = rep_cross_ratio(octagon, sym_reps, 3)
         rng = np.random.default_rng(8)
         for _ in range(25):
             x, y, z, t, t2 = draw_points(sample_l2, rng, 5)
-            triple_ratio(b, x, y, z, t, t2=t2, tol=1e-9)
+            triple_ratio(b, x, y, z, t, t2=t2)
 
     def test_t_dependence_flagged(self):
         classical = classical_cr_fn()
@@ -440,8 +483,8 @@ class TestEmbedding:
         e = BoundaryPoint.from_angle(0.0)
         u = BoundaryPoint.from_angle(np.pi)
         fmap, rep = embed_from_cr(b, w, e, u, sample=sample_l2, count=60,
-                                  seed=4, tol=1e-11)
-        assert rep["passed"], rep
+                                  seed=4)
+        assert rep["passed"] and rep["max_violation"] < 1e-11, rep
         # zero at w (first-pair collapse), one at e (unit locus)
         assert fmap(w) == pytest.approx(0.0, abs=1e-12)
         assert fmap(e) == pytest.approx(1.0, abs=1e-12)
@@ -455,7 +498,7 @@ class TestEmbedding:
         pts = sample_l2.points
         w, e, u = pts[3], pts[11], pts[19]
         _, rep = embed_from_cr(b, w, e, u, sample=sample_l2, count=60,
-                               seed=5, tol=1e-9)
+                               seed=5)
         assert rep["passed"], rep
 
     def test_precondition_rejects_higher_rank(self, octagon, sample_l2, sym_reps):
@@ -817,10 +860,9 @@ class TestBatchedChecks:
         sample = request.getfixturevalue(sample_name)
         b = rep_cross_ratio(octagon, sym_reps, n)
         for check in (check_axioms, check_relation12, check_relation13):
-            for bb in (b, dual_cr(b)):
-                for seed in range(4):
-                    want = outcome(check, looped(bb), sample, seed)
-                    assert outcome(check, bb, sample, seed) == want
+            for seed in range(4):
+                want = outcome(check, looped(b), sample, seed)
+                assert outcome(check, b, sample, seed) == want
 
     def test_degenerate_seed_raises_on_both_paths(
             self, octagon, sample_l3, sym_reps):
@@ -1014,4 +1056,4 @@ class TestBatchedChecks:
                 "passed", "tol"}
         for rep in reports:
             assert keys <= set(rep), rep["check"]
-            assert rep["passed"] and rep["tol"] == 1e-9
+            assert rep["passed"] and rep["tol"] == CHECK_TOL == 1e-9

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import crlab
@@ -7,6 +8,15 @@ import crlab
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
 SPANS = PERFBENCH / "spans.py"
+
+
+def workload_aliases():
+    """The benchmark workloads' syntax tree and its crlab module aliases."""
+    tree = ast.parse(WORKLOADS.read_text())
+    aliases = {a.asname: importlib.import_module(a.name)
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names if a.name.startswith("crlab.") and a.asname}
+    return tree, aliases
 
 
 def test_star_import_binds_every_name_in_all():
@@ -19,10 +29,7 @@ def test_benchmark_uses_only_existing_names():
     # the benchmark reaches crlab through module aliases (`cr.period`); a
     # name it uses that the package no longer has would break its import
     # or its ops
-    tree = ast.parse(WORKLOADS.read_text())
-    aliases = {a.asname: importlib.import_module(a.name)
-               for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for a in node.names if a.name.startswith("crlab.") and a.asname}
+    tree, aliases = workload_aliases()
     used = {(node.value.id, node.attr) for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id in aliases}
@@ -30,6 +37,27 @@ def test_benchmark_uses_only_existing_names():
     missing = [f"{mod}.{name}" for mod, name in sorted(used)
                if not hasattr(aliases[mod], name)]
     assert used and not missing, missing
+
+
+def test_benchmark_calls_bind_to_signatures():
+    # a benchmark call the package's signatures no longer accept (a removed
+    # or renamed parameter) would otherwise fail only in a benchmark run
+    tree, aliases = workload_aliases()
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in aliases]
+    unbound = []
+    for call in calls:
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(kw.arg is not None for kw in call.keywords)
+        target = getattr(aliases[call.func.value.id], call.func.attr)
+        try:
+            inspect.signature(target).bind(
+                *call.args, **{kw.arg: kw.value for kw in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {ast.unparse(call)}: {exc}")
+    assert calls and not unbound, unbound
 
 
 def test_tracer_targets_exist():
