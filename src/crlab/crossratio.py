@@ -17,9 +17,10 @@ ratio of a curve pair is a gather from two N x n arrays, the pair's
 `table(sample)` of xi and xi* at every sample point, built once per sample
 set; a row the gather cannot evaluate goes to `curve_cr`, which raises its
 error.  Other evaluators loop over the rows.  The sample-set checks share one
-routine (`_drive`): it draws all seeded index tuples first, evaluates b on
-every quadruple they need in one batched call, and reduces the identities
-with numpy into one report schema; each check has the one budget CHECK_TOL.
+routine (`_drive`): it draws all seeded index tuples first and evaluates b on
+every quadruple they need in one batched call.  Every check reduces through
+`_report` to one schema: per identity the worst violation and its witness
+(`per_identity`, `argmax`), their maximum, and `passed` against CHECK_TOL.
 """
 
 from dataclasses import dataclass, field
@@ -374,36 +375,31 @@ def _rel(a, b):
     return np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
 
 
-def _worst(viol):
-    """The largest violation and the index of the first tuple with it.
+def _witness(sample, idx):  # a sample check names tuple k by its angles
+    return lambda k: tuple(sample.points[i].circle_coord for i in idx[k])
 
-    As a running maximum from 0.0 updated on a strict > finds them: (0.0,
-    None) when no violation is above 0.  A NaN violation counts as inf, so
-    an identity that could not be evaluated fails, and the witness is then
-    the first tuple that gave NaN or inf.
+
+def _report(check, b, viols, witness, **fields):
+    """The report of every check; `fields` are the check's own entries.
+
+    `viols` maps each identity's name to its violation on each tuple, and
+    `witness(k)` names tuple k.  Per identity, a running maximum from 0.0
+    updated on a strict > gives the worst violation and its witness, which
+    is None when no violation is above 0.  A NaN counts as inf, so an
+    identity that could not be evaluated fails, at its first NaN or inf.
     """
-    v = np.concatenate(([0.0], np.where(np.isnan(viol), np.inf,
-                                        np.where(viol > 0.0, viol, 0.0))))
-    k = int(np.argmax(v))
-    return float(v[k]), (k - 1 if k else None)
-
-
-def _angles(sample, row):
-    return tuple(sample.points[i].circle_coord for i in row)
-
-
-def _report(check, b, count, max_violation, argmax, **fields):
-    """The report of every check; `fields` are the check's own entries."""
-    return {"check": check, "label": b.label, "tuples": count, **fields,
-            "max_violation": max_violation, "argmax": argmax,
-            "passed": bool(max_violation < CHECK_TOL), "tol": CHECK_TOL}
-
-
-def _identity_report(check, b, sample, idx, viol):
-    """Report of one identity; the witness is the angles of its tuple."""
-    worst, k = _worst(viol)
-    return _report(check, b, len(idx), worst,
-                   None if k is None else _angles(sample, idx[k]))
+    per_identity, argmax = {}, {}
+    for name, viol in viols.items():
+        v = np.concatenate(([0.0], np.where(np.isnan(viol), np.inf,
+                                            np.where(viol > 0.0, viol, 0.0))))
+        k = int(np.argmax(v))
+        per_identity[name] = float(v[k])
+        argmax[name] = witness(k - 1) if k else None
+    worst = max(per_identity.values())
+    return {"check": check, "label": b.label, "tuples": len(viol),
+            "per_identity": per_identity, "argmax": argmax,
+            "max_violation": worst, "passed": bool(worst < CHECK_TOL),
+            "tol": CHECK_TOL, **fields}
 
 
 # positions in the drawn tuple (x, y, z, t, w) of the quadruples b is
@@ -423,9 +419,9 @@ def check_axioms(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     Checks symmetry under swapping the two pairs, the zero locus, both
     multiplicative cocycle rules, the unit locus, and reports the observed
     strictness floor min |b - 1| on separated tuples; passes when the worst
-    violation is below CHECK_TOL.  Each axiom's witness in `argmax` is the
-    (x, y, z, t) angles of the first tuple reaching its worst violation, or
-    None when no violation is above 0.
+    violation is below CHECK_TOL.  Each identity's witness in `argmax` is the
+    angles of the drawn tuple (x, y, z, t, w), w being the point the cocycles
+    factor through, or None when no violation is above 0.
 
     For a pairing cross ratio such as `curve_cr_fn`'s, symmetry, both
     cocycles and the unit locus hold identically in the pairings, so on
@@ -443,21 +439,17 @@ def check_axioms(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
         "zero-locus": np.abs(zero),
         "unit-locus": np.maximum(np.abs(unit1 - 1.0), np.abs(unit2 - 1.0)),
     }
-    worst, argmax = {}, {}
-    for name, viol in viols.items():
-        worst[name], k = _worst(viol)
-        argmax[name] = None if k is None else _angles(sample, idx[k, :4])
     floor = float(np.fmin.reduce(np.abs(v - 1.0), initial=np.inf))
-    return _report("axioms", b, count, max(worst.values()), argmax,
-                   per_axiom=worst, strictness_floor=floor)
+    return _report("axioms", b, viols, _witness(sample, idx),
+                   strictness_floor=floor)
 
 
 def check_invariance(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Max violation of b(gx, gy, gz, gt) = b(x, y, z, t) over the generators.
 
-    Passes when it is below CHECK_TOL.  Evaluates tuple by tuple, as the
-    moved points are not sample points; the witness is the generator and
-    the angles of the tuple.
+    Evaluates tuple by tuple, as the moved points are not sample points.
+    The one identity is "invariance"; its witness in `argmax` is (g, angles),
+    the generator's signed index and the angles of the tuple.
 
     On a `representation_pair` the values at moved points come from
     equivariance, xi(g p) = rho(g) xi(p) and xi*(g p) = rho(g)^-T xi*(p),
@@ -470,16 +462,16 @@ def check_invariance(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
         raise DomainError(f"tuple count must be at least 1, got {count}")
     gens = sample.group
     rng = np.random.default_rng(seed)
-    viol, witness = [], []
+    viol, gs, drawn = [], [], []
     for _ in range(count):
         pts = draw_points(sample, rng, 4, min_gap)
         g = int(rng.integers(1, gens.rank + 1)) * (1 if rng.random() < 0.5 else -1)
         moved = [translate_point(gens, Word.of(g), p) for p in pts]
         viol.append(_rel(b(*pts), b(*moved)))
-        witness.append((g, tuple(p.circle_coord for p in pts)))
-    worst, k = _worst(np.array(viol, float))
-    return _report("invariance", b, count, worst,
-                   None if k is None else witness[k])
+        gs.append(g)
+        drawn.append(pts)
+    return _report("invariance", b, {"invariance": np.array(viol, float)},
+                   lambda k: (gs[k], tuple(p.circle_coord for p in drawn[k])))
 
 
 # -- periods, triple ratios, projective-line relations ------------------------
@@ -530,8 +522,8 @@ def check_relation12(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     """Worst violation of 1 - b(f,v,e,u) = b(u,v,e,f) over seeded tuples."""
     idx, (fveu, uvef) = _drive(b, sample, count, 4, _RELATION12_QUADS, seed,
                                min_gap)
-    return _identity_report("relation-affine", b, sample, idx,
-                            _rel(1.0 - fveu, uvef))
+    viol = {"relation-affine": _rel(1.0 - fveu, uvef)}
+    return _report("relation-affine", b, viol, _witness(sample, idx))
 
 
 def check_relation13(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
@@ -540,7 +532,8 @@ def check_relation13(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     idx, (fv, gw, fw, gv) = _drive(b, sample, count, 6, _RELATION13_QUADS, seed,
                                    min_gap)
     viol = _rel((fv - 1.0) * (gw - 1.0), (fw - 1.0) * (gv - 1.0))
-    return _identity_report("relation-product", b, sample, idx, viol)
+    return _report("relation-product", b, {"relation-product": viol},
+                   _witness(sample, idx))
 
 
 def embed_from_cr(b, w, e, u, sample, count=50, seed=0):
@@ -568,8 +561,8 @@ def embed_from_cr(b, w, e, u, sample, count=50, seed=0):
                        DEFAULT_MIN_GAP)
     images = [classical_cr(*(fmap(sample.points[i]) for i in row))
               for row in idx.tolist()]
-    return fmap, _identity_report("embedding-reproduction", b, sample, idx,
-                                  _rel(np.array(images, float), v))
+    viol = {"embedding-reproduction": _rel(np.array(images, float), v)}
+    return fmap, _report("embedding-reproduction", b, viol, _witness(sample, idx))
 
 
 # -- constant-curvature length cross ratio ------------------------------------
@@ -591,6 +584,8 @@ def otal_cr_hyperbolic(angles, horoballs):
     """
     if len(angles) != 4 or len(horoballs) != 4:
         raise ValueError("need four boundary angles and four horoball sizes")
+    if not np.isfinite(angles).all():
+        raise ValueError(f"boundary angles must be finite, got {angles!r}")
     if not all(0.0 < h < 1.0 for h in horoballs):
         raise ValueError("horoball parameter must lie in (0, 1)")
     size = [(2.0 - h) / h for h in horoballs]  # exp of each horoball's depth

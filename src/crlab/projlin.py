@@ -85,6 +85,8 @@ def sym_power_rep(n, a):
     Uses the monomial basis x^(n-1), x^(n-2) y, ..., y^(n-1); satisfies
     S(AB) = S(A) S(B) and S(A) veronese(p) ~ veronese(A p).
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     a = np.asarray(a, float)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")

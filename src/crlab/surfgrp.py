@@ -314,6 +314,8 @@ class BoundaryPoint:
 
     @staticmethod
     def from_angle(phi):
+        if not math.isfinite(phi):  # inf % 2 pi would be NaN
+            raise ValueError(f"boundary angle must be finite, got {phi!r}")
         phi = float(phi) % TWO_PI
         return BoundaryPoint(
             word=None, sign="synthetic", circle_coord=phi, line=line_of_angle(phi)

@@ -65,6 +65,10 @@ class TestClassical:
             pts = [BoundaryPoint.from_angle(a) for a in angles]
             want = classical_cr(*[np.tan(a / 2) for a in angles])
             assert b(*pts) == pytest.approx(want, rel=1e-9)
+        # inf % 2 pi is NaN, which would make a NaN point
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="angle must be finite"):
+                BoundaryPoint.from_angle(bad)
 
 
 class TestCurveCrossRatio:
@@ -560,9 +564,11 @@ class TestOtal:
         ([0.3, 1.4, 2.9, 4.8, 5.5], [0.05] * 5),
         ([0.3, 1.4, 2.9, 4.8], [0.05, 0.0, 0.05, 0.05]),
         ([0.3, 1.4, 2.9, 4.8], [0.05, 0.05, 1.0, 0.05]),
+        ([np.nan, 1.0, 2.0, 3.0], [0.05] * 4),
+        ([0.0, 1.0, 2.0, np.inf], [0.05] * 4),
     ])
     def test_bad_input_rejected(self, angles, horoballs):
-        with pytest.raises(ValueError, match="four|must lie in") as exc:
+        with pytest.raises(ValueError, match="four|must lie in|must be finite") as exc:
             otal_cr_hyperbolic(angles, horoballs)
         assert not isinstance(exc.value, DomainError)
 
@@ -980,14 +986,14 @@ class TestBatchedChecks:
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")
         rep = check_axioms(b, sample_l2, 20, seed=7)
         first = draw_points(sample_l2, np.random.default_rng(7), 5)
-        first = tuple(p.circle_coord for p in first[:4])
+        first = tuple(p.circle_coord for p in first)
         # exactly 0: no witness
-        assert rep["per_axiom"]["symmetry"] == 0.0
+        assert rep["per_identity"]["symmetry"] == 0.0
         assert rep["argmax"]["symmetry"] is None
-        # ties across all tuples: the first tuple wins
-        assert rep["per_axiom"]["zero-locus"] == 0.5
+        # ties across all tuples: the first tuple, all five points of it, wins
+        assert rep["per_identity"]["zero-locus"] == 0.5
         assert rep["argmax"]["zero-locus"] == first
-        assert rep["per_axiom"]["cocycle-zw"] == 0.25
+        assert rep["per_identity"]["cocycle-zw"] == 0.25
         assert rep["argmax"]["cocycle-zw"] == first
         assert rep["strictness_floor"] == 0.5
         assert rep["max_violation"] == 0.5 and not rep["passed"]
@@ -1015,15 +1021,17 @@ class TestBatchedChecks:
             for seed in (0, 3):
                 rep = check_axioms(b, sample_l2, 20, seed=seed)
                 assert rep["max_violation"] == np.inf and not rep["passed"]
-                assert set(rep["per_axiom"].values()) == {np.inf}
+                assert set(rep["per_identity"].values()) == {np.inf}
                 for name, positions in (("symmetry", [0, 2]), ("zero-locus", [0]),
                                         ("cocycle-wy", [0, 4])):
-                    assert rep["argmax"][name] == witness(b, 5, seed, positions)[:4]
+                    assert rep["argmax"][name] == witness(b, 5, seed, positions)
                 for check, k, positions in ((check_relation12, 4, [0, 3]),
                                             (check_relation13, 6, [0, 1])):
                     rep = check(b, sample_l2, 20, seed=seed)
                     assert rep["max_violation"] == np.inf and not rep["passed"]
-                    assert rep["argmax"] == witness(b, k, seed, positions)
+                    assert rep["per_identity"] == {rep["check"]: np.inf}
+                    assert (rep["argmax"][rep["check"]]
+                            == witness(b, k, seed, positions))
 
                 calls = []
 
@@ -1036,7 +1044,8 @@ class TestBatchedChecks:
                 assert rep["max_violation"] == np.inf and not rep["passed"]
                 # two calls a tuple: on the drawn points, then on the moved ones
                 first = next(i for i, q in enumerate(calls) if np.isnan(b(*q))) // 2
-                assert rep["argmax"][1] == tuple(p.circle_coord for p in calls[2 * first])
+                assert (rep["argmax"]["invariance"][1]
+                        == tuple(p.circle_coord for p in calls[2 * first]))
             pts = sample_l2.points
             with pytest.raises(DomainError, match="precondition"):
                 embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2, count=20)
@@ -1052,8 +1061,69 @@ class TestBatchedChecks:
             embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2,
                           count=20)[1],
         ]
-        keys = {"check", "label", "tuples", "max_violation", "argmax",
-                "passed", "tol"}
+        keys = {"check", "label", "tuples", "per_identity", "argmax",
+                "max_violation", "passed", "tol"}
         for rep in reports:
-            assert keys <= set(rep), rep["check"]
+            extra = {"strictness_floor"} if rep["check"] == "axioms" else set()
+            assert set(rep) == keys | extra, rep["check"]
+            assert set(rep["argmax"]) == set(rep["per_identity"]), rep["check"]
+            assert rep["max_violation"] == max(rep["per_identity"].values())
             assert rep["passed"] and rep["tol"] == CHECK_TOL == 1e-9
+        # a check of one identity names it after itself
+        assert [list(rep["per_identity"]) for rep in reports[1:]] == [
+            ["invariance"], ["relation-affine"], ["relation-product"],
+            ["embedding-reproduction"]]
+
+    def test_witnesses_replay(self, sample_l2):
+        # each identity, evaluated again at the points its witness names,
+        # gives back its reported worst violation; the axioms' witness holds
+        # w, the fifth point of the tuple, which both cocycles go through
+        base = classical_cr_fn()
+
+        def corrupted(x, y, z, t):
+            phase = (x.circle_coord + 2 * y.circle_coord + 3 * z.circle_coord
+                     + 5 * t.circle_coord)
+            return base(x, y, z, t) + 1e-8 * (1.0 + np.sin(phase))
+
+        b = CrossRatioFn(corrupted, "corrupted")
+        pts = sample_l2.points
+        at = {p.circle_coord: p for p in pts}
+
+        def rel(a, c):
+            return abs(a - c) / max(1.0, abs(a), abs(c))
+
+        fmap, embedded = embed_from_cr(b, pts[3], pts[11], pts[19],
+                                       sample=sample_l2, count=30)
+        identities = {
+            "symmetry": lambda x, y, z, t, w: rel(b(x, y, z, t), b(z, t, x, y)),
+            "cocycle-zw": lambda x, y, z, t, w: rel(
+                b(x, y, z, t), b(x, y, z, w) * b(x, w, z, t)),
+            "cocycle-wy": lambda x, y, z, t, w: rel(
+                b(x, y, z, t), b(x, y, w, t) * b(w, y, z, t)),
+            "zero-locus": lambda x, y, z, t, w: abs(b(x, x, z, t)),
+            "unit-locus": lambda x, y, z, t, w: max(
+                abs(b(x, y, x, t) - 1.0), abs(b(x, y, z, y) - 1.0)),
+            "relation-affine": lambda f, v, e, u: rel(
+                1.0 - b(f, v, e, u), b(u, v, e, f)),
+            "relation-product": lambda f, g, v, w, e, u: rel(
+                (b(f, v, e, u) - 1.0) * (b(g, w, e, u) - 1.0),
+                (b(f, w, e, u) - 1.0) * (b(g, v, e, u) - 1.0)),
+            "embedding-reproduction": lambda *q: rel(
+                classical_cr(*map(fmap, q)), b(*q)),
+        }
+        replayed = []
+        for rep in (check_axioms(b, sample_l2, 30),
+                    check_relation12(b, sample_l2, 30),
+                    check_relation13(b, sample_l2, 30), embedded):
+            assert not rep["passed"], rep["check"]
+            for name, worst in rep["per_identity"].items():
+                q = [at[a] for a in rep["argmax"][name]]
+                assert identities[name](*q) == worst, (rep["check"], name)
+                replayed.append(name)
+        assert replayed == list(identities)
+        rep = check_invariance(b, sample_l2, 10)
+        g, angles = rep["argmax"]["invariance"]
+        q = [at[a] for a in angles]
+        moved = [translate_point(sample_l2.group, Word.of(g), p) for p in q]
+        assert not rep["passed"]
+        assert rel(b(*q), b(*moved)) == rep["per_identity"]["invariance"]

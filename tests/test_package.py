@@ -60,6 +60,35 @@ def test_benchmark_calls_bind_to_signatures():
     assert calls and not unbound, unbound
 
 
+def test_benchmark_reads_only_report_keys(sample_l2):
+    # a report key the benchmark reads (`rep["max_violation"]`) that its
+    # check no longer returns would otherwise fail only in a benchmark run
+    tree, aliases = workload_aliases()
+    reads = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        bound = {node.targets[0].id: node.value.func.attr
+                 for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                 and isinstance(node.targets[0], ast.Name)
+                 and isinstance(node.value, ast.Call)
+                 and isinstance(node.value.func, ast.Attribute)
+                 and isinstance(node.value.func.value, ast.Name)
+                 and node.value.func.value.id == "cr"
+                 and node.value.func.attr.startswith("check_")}
+        reads |= {(bound[node.value.id], node.slice.value)
+                  for node in ast.walk(fn) if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in bound
+                  and isinstance(node.slice, ast.Constant)
+                  and isinstance(node.slice.value, str)}
+    assert reads
+    b = aliases["cr"].classical_cr_fn()
+    missing = [f"{check}: {key}" for check, key in sorted(reads)
+               if key not in getattr(aliases["cr"], check)(b, sample_l2, 5)]
+    assert not missing, missing
+
+
 def test_tracer_targets_exist():
     # the tracer records a target it cannot find as absent rather than
     # failing, so a rename would silently drop that layer from the trace

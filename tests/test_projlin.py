@@ -184,11 +184,15 @@ class TestSameBytes:
                 assert (veronese_dual(n, p).tobytes()
                         == veronese_dual_numpy(n, p).tobytes()), (n, p)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [-1, 0, 1])
     def test_veronese_needs_n_at_least_2(self, n):
-        for fn in (veronese, veronese_dual):
+        # sym_power_rep raised ZeroDivisionError at n = 0 and numpy's
+        # "negative dimensions" at n = -1
+        for fn, arg in ((veronese, np.array([0.6, 0.8])),
+                        (veronese_dual, np.array([0.6, 0.8])),
+                        (sym_power_rep, np.eye(2))):
             with pytest.raises(ValueError, match="n must be >= 2"):
-                fn(n, np.array([0.6, 0.8]))
+                fn(n, arg)
 
 
 class TestSymPower:
