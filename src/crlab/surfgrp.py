@@ -344,6 +344,8 @@ def act_on_angle(m, phi):
 def fixed_points_2x2(m, word=None):
     """Attracting and repelling boundary points of a hyperbolic 2x2 matrix."""
     m = np.asarray(m, float)
+    if m.shape != (2, 2):
+        raise GroupDataError(f"fixed points need a 2 x 2 matrix, not {m.shape}")
     tr = m[0, 0] + m[1, 1]
     if tr < 0:  # PSL normalization
         m, tr = -m, -tr
@@ -450,6 +452,8 @@ def sample_boundary(gens, max_len):
     wins (better conditioned eigen-data).  The sample depends on the group
     alone: it neither reads nor fills the cache of `gens.fixed_points`.
     """
+    if any(m.shape != (2, 2) for m in gens.matrices):
+        raise GroupDataError("boundary sample needs a group of 2 x 2 matrices")
     words, mats = [], []
     # a row that overflows or goes NaN here is one the one-matrix path
     # rejects; it is solved again there, with that path's warnings

@@ -181,6 +181,12 @@ class TestCurveCrossRatio:
             representation_pair(octagon, sym_reps[3], 5)
         with pytest.raises(GroupDataError, match="3 x 3"):
             representation_pair(octagon, [m[:, :2] for m in sym_reps[3]], 3)
+        # n < 2 has no limit curve: unchecked, 1 x 1 images build a constant
+        # cross ratio, and veronese_pair(1) fails only at its first value
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            representation_pair(octagon, [np.eye(1)] * 4, 1)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            veronese_pair(1)
 
     def test_non_finite_image_rejected_at_construction(self, octagon, sym_reps):
         # LAPACK inverts a NaN matrix: unchecked, the first curve value
@@ -426,7 +432,7 @@ class TestTripleRatio:
                for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
         x, y, z, t3, t5 = pts
         b = classical_cr_fn()
-        v = triple_ratio(b, x, y, z, t3, t2=t5)
+        v = triple_ratio(b, x, y, z, t3)
         assert v == pytest.approx(-1.0, rel=1e-10)
         # the two values agree well inside CHECK_TOL
         assert abs(v - triple_ratio(b, x, y, z, t5)) < 1e-10
@@ -436,7 +442,8 @@ class TestTripleRatio:
         rng = np.random.default_rng(8)
         for _ in range(25):
             x, y, z, t, t2 = draw_points(sample_l2, rng, 5)
-            triple_ratio(b, x, y, z, t, t2=t2)
+            v, v2 = triple_ratio(b, x, y, z, t), triple_ratio(b, x, y, z, t2)
+            assert abs(v - v2) <= CHECK_TOL * max(1.0, abs(v), abs(v2))
 
     def test_t_dependence_flagged(self):
         classical = classical_cr_fn()
@@ -447,8 +454,8 @@ class TestTripleRatio:
         b = CrossRatioFn(evaluator=corrupted, label="corrupted")
         x, y, z, t3, t5 = [BoundaryPoint.from_angle(2 * np.arctan(v))
                            for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
-        with pytest.raises(DomainError, match="depends on t"):
-            triple_ratio(b, x, y, z, t3, t2=t5)
+        v, v2 = triple_ratio(b, x, y, z, t3), triple_ratio(b, x, y, z, t5)
+        assert abs(v - v2) > 0.1
 
     def test_cyclic_invariance(self, sample_l2):
         b = classical_cr_fn()
@@ -505,12 +512,14 @@ class TestEmbedding:
                                seed=5)
         assert rep["passed"], rep
 
-    def test_precondition_rejects_higher_rank(self, octagon, sample_l2, sym_reps):
-        b = rep_cross_ratio(octagon, sym_reps, 3)
+    def test_reproduction_fails_at_higher_rank(self, octagon, sample_l2, sym_reps):
+        # above n = 2 the product identity fails, and with it the embedding
         pts = sample_l2.points
-        with pytest.raises(DomainError, match="precondition"):
-            embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2,
-                          count=60, seed=6)
+        for n in (3, 4, 5):
+            b = rep_cross_ratio(octagon, sym_reps, n)
+            _, rep = embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2,
+                                   count=60, seed=6)
+            assert not rep["passed"] and rep["max_violation"] > 0.5, (n, rep)
 
 
 class TestOtal:
@@ -1047,8 +1056,9 @@ class TestBatchedChecks:
                 assert (rep["argmax"]["invariance"][1]
                         == tuple(p.circle_coord for p in calls[2 * first]))
             pts = sample_l2.points
-            with pytest.raises(DomainError, match="precondition"):
-                embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2, count=20)
+            _, rep = embed_from_cr(b, pts[3], pts[11], pts[19], sample=sample_l2,
+                                   count=20)
+            assert rep["max_violation"] == np.inf and not rep["passed"]
 
     def test_reports_share_schema(self, sample_l2):
         b = classical_cr_fn()

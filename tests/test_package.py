@@ -4,6 +4,7 @@ import inspect
 from pathlib import Path
 
 import crlab
+from crlab import crossratio, projlin, surfgrp
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
@@ -23,6 +24,38 @@ def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from crlab import *", namespace)
     assert set(crlab.__all__) <= set(namespace)
+
+
+def test_settable_options_pinned():
+    # every parameter with a default on a public function or class is an
+    # option some caller can set; a new one shows up here as a test edit
+    options = {}
+    for mod in (projlin, surfgrp, crossratio):
+        short = mod.__name__.rpartition(".")[2]
+        for name, obj in vars(mod).items():
+            public = (not name.startswith("_")
+                      and getattr(obj, "__module__", None) == mod.__name__)
+            # an exception class takes *args only and has no signature
+            if not public or not callable(obj) or (
+                    isinstance(obj, type) and issubclass(obj, Exception)):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                if param.default is not param.empty:
+                    options[f"{short}.{name}.{param.name}"] = repr(param.default)
+    assert options == {
+        "surfgrp.BoundaryPoint.eigenvalue": "nan",
+        "surfgrp.fixed_points_2x2.word": "None",
+        "crossratio.CrossRatioFn.indexed": "None",
+        "crossratio.draw_indices.min_gap": "0.001",
+        "crossratio.draw_points.min_gap": "0.001",
+        "crossratio.check_axioms.seed": "0",
+        "crossratio.check_invariance.seed": "0",
+        "crossratio.check_invariance.min_gap": "0.001",
+        "crossratio.period.y2": "None",
+        "crossratio.check_relation12.seed": "0",
+        "crossratio.check_relation13.seed": "0",
+        "crossratio.embed_from_cr.seed": "0",
+    }
 
 
 def test_benchmark_uses_only_existing_names():

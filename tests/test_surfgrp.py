@@ -225,6 +225,15 @@ class TestFixedPoints:
             fixed_points_2x2(r)
         with pytest.raises(GroupDataError, match=r"hyperbolic .*: word a\.b'$"):
             fixed_points_2x2(r, word=Word.of(1, -2))
+        # a representation's image: unchecked, the 2x2 formulas read the
+        # corner entries of a Sym^2 image and return two angles that are no
+        # fixed points at all
+        images = tuple(sym_power_rep(3, m) for m in octagon_fuchsian().matrices)
+        rep = GeneratorSet(images)
+        with pytest.raises(GroupDataError, match=r"2 x 2 matrix, not \(3, 3\)"):
+            fixed_points_2x2(evaluate(rep, Word.of(1)))
+        with pytest.raises(GroupDataError, match="2 x 2 matrix"):
+            rep.fixed_points(Word.of(1))
 
     def test_equivariance_of_conjugates(self):
         g = octagon_fuchsian()
@@ -338,6 +347,12 @@ class TestSampleBoundary:
             with pytest.raises(GroupDataError, match=r"word b'\.a'$") as exc:
                 sample_boundary(GeneratorSet(mats), max_len)
             assert (exc.type, str(exc.value)) == self.loop_error(mats, max_len)
+        # a group that is not of 2x2 matrices is rejected before any word
+        rep = GeneratorSet(tuple(sym_power_rep(3, m) for m in mats))
+        with pytest.raises(GroupDataError, match="group of 2 x 2 matrices"):
+            sample_boundary(rep, 1)
+        with pytest.raises(GroupDataError, match="group of 2 x 2 matrices"):
+            sample_boundary(GeneratorSet(mats + (np.eye(3),)), 0)
 
     def test_overflow_raises_as_the_loop_does(self):
         # a.a's trace squares to inf, and a.a.a.a overflows: the stacked
