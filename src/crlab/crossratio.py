@@ -2,9 +2,7 @@
 
 A cross ratio is a four-point function b(x, y, z, t) defined for x != t,
 y != z.  The evaluators here are the classical one on RP^1 and pairing
-quotients of a limit curve and its dual.  Otal's horoball-length
-combination (`otal_cr_hyperbolic`) is computed on angles, as an independent
-form of the classical one.
+quotients of a limit curve and its dual.
 
 A curve pair is two separate maps on the boundary, as in the paper: the
 limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  Each side
@@ -35,7 +33,7 @@ from .projlin import (
 )
 from .surfgrp import (
     BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
-    circular_gap, conjugate_split, evaluate, line_of_angle, translate_point,
+    circular_gap, conjugate_split, evaluate, translate_point,
 )
 
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
@@ -352,7 +350,8 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
         filled += len(kept)
         run = len(cand) - 1 - kept[-1] if len(kept) else run + len(cand)
         if run == DRAW_TRIES:
-            raise DomainError("could not draw a separated tuple; lower min_gap")
+            raise DomainError(f"could not draw {k} points more than min_gap "
+                              f"{min_gap!r} apart in {DRAW_TRIES} tries in a row")
     return out
 
 
@@ -554,42 +553,6 @@ def embed_from_cr(b, w, e, u, sample, count, seed=0):
               for row in idx.tolist()]
     viol = {"embedding-reproduction": _rel(np.array(images, float), v)}
     return fmap, _report("embedding-reproduction", b, viol, _witness(sample, idx))
-
-
-# -- constant-curvature length cross ratio ------------------------------------
-
-def otal_cr_hyperbolic(angles, horoballs):
-    """Alternating horoball-truncated length combination of an ideal square.
-
-    Returns sign(classical) * exp(L/2) where L = l12 - l23 + l34 - l41 and
-    l_ij is the distance between the horoballs at corners i and j; the
-    result is independent of the horoball sizes and has the modulus of the
-    classical cross ratio of the four boundary points.
-
-    Everything is in the unit disk.  The horoball tangent at angle a with
-    Euclidean diameter h lies log((2 - h) / h) from the center, and two
-    horoballs at a and b are apart by their two depths plus
-    2 log |sin((a - b) / 2)|, negative when they overlap.  The overlap test
-    reads exp(l_ij), which is 0 at a coincident pair, so log(0) is never
-    taken; a pair whose length is below -1e-12 raises DomainError.
-    """
-    if len(angles) != 4 or len(horoballs) != 4:
-        raise ValueError("need four boundary angles and four horoball sizes")
-    if not np.isfinite(angles).all():
-        raise ValueError(f"boundary angles must be finite, got {angles!r}")
-    if not all(0.0 < h < 1.0 for h in horoballs):
-        raise ValueError("horoball parameter must lie in (0, 1)")
-    size = [(2.0 - h) / h for h in horoballs]  # exp of each horoball's depth
-    lengths = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            e = np.sin(0.5 * (angles[i] - angles[j])) ** 2 * size[i] * size[j]
-            if e < 1.0 - 1e-12:
-                raise DomainError(f"horoballs {i} and {j} overlap")
-            lengths[i, j] = float(np.log(e))
-    total = lengths[0, 1] - lengths[1, 2] + lengths[2, 3] - lengths[0, 3]
-    eps = np.sign(classical_cr(*(line_of_angle(a) for a in angles)))
-    return float(eps * np.exp(0.5 * total))
 
 
 # -- flow generated by a cross ratio ------------------------------------------

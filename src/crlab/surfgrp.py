@@ -98,8 +98,9 @@ class GeneratorSet:
 
     The base group has 2x2 unimodular matrices; the images of a
     representation use the same type with n x n matrices.  The inverses are
-    computed once here, so that word products only multiply.  Non-finite
-    entries are rejected first: LAPACK inverts a NaN matrix without error.
+    computed once here, so that word products only multiply.  Matrices that
+    are not square or not all of one shape, and non-finite entries, are
+    rejected first: LAPACK inverts a NaN matrix without error.
     """
 
     matrices: tuple          # tuple of square float arrays
@@ -107,6 +108,11 @@ class GeneratorSet:
     _fixed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        shapes = [np.shape(m) for m in self.matrices]
+        for i, s in enumerate(shapes):
+            if len(s) != 2 or s[0] != s[1] or s != shapes[0]:
+                raise GroupDataError(f"generator {i} has shape {s}: generators "
+                                     "must be square matrices of one shape")
         for i, m in enumerate(self.matrices):
             if not np.isfinite(m).all():
                 raise GroupDataError(f"generator {i} has non-finite entries")
@@ -134,9 +140,12 @@ class GeneratorSet:
 
 
 def make_generator_set(matrices):
-    """The genus-2 base group on four 2x2 matrices, checked: each has unit
-    determinant and the surface relator is +-I up to 1e-8."""
-    gens = GeneratorSet(tuple(np.asarray(m, float).reshape(2, 2) for m in matrices))
+    """The genus-2 base group on four 2x2 matrices, checked: each is 2x2 with
+    unit determinant and the surface relator is +-I up to 1e-8."""
+    gens = GeneratorSet(tuple(np.asarray(m, float) for m in matrices))
+    if any(m.shape != (2, 2) for m in gens.matrices):  # all of one shape
+        raise GroupDataError(
+            f"genus-2 base group needs 2 x 2 matrices, not {gens.matrices[0].shape}")
     for i, m in enumerate(gens.matrices):
         det = np.linalg.det(m)
         if abs(det - 1.0) > 1e-12:

@@ -1,4 +1,3 @@
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +8,7 @@ from crlab.crossratio import (
     CHECK_TOL, DRAW_TRIES, CrossRatioFn, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
-    embed_from_cr, flow_from_cr, otal_cr_hyperbolic, period,
+    embed_from_cr, flow_from_cr, period,
     representation_pair, triple_ratio, veronese_pair,
 )
 from crlab.projlin import (
@@ -522,77 +521,6 @@ class TestEmbedding:
             assert not rep["passed"] and rep["max_violation"] > 0.5, (n, rep)
 
 
-class TestOtal:
-    def test_horoball_independence(self):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            angles = np.sort(rng.uniform(0, 2 * np.pi, size=4))
-            if np.min(np.diff(angles)) < 0.3:
-                continue
-            v1 = otal_cr_hyperbolic(angles, [0.05, 0.08, 0.03, 0.06])
-            v2 = otal_cr_hyperbolic(angles, [0.01, 0.02, 0.09, 0.04])
-            assert v1 == pytest.approx(v2, rel=1e-10)
-
-    def test_matches_classical_modulus(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            angles = rng.uniform(0, 2 * np.pi, size=4)
-            gaps = [circular_gap(angles[i], angles[j])
-                    for i in range(4) for j in range(i + 1, 4)]
-            if min(gaps) < 0.3:
-                continue
-            got = otal_cr_hyperbolic(angles, [0.02] * 4)
-            want = classical_cr(*[np.tan(a / 2) for a in angles])
-            assert abs(got) == pytest.approx(abs(want), rel=1e-8)
-            assert np.sign(got) == np.sign(want)
-
-    def test_pair_swap_symmetry(self):
-        angles = [0.3, 1.4, 2.9, 4.8]
-        h = [0.05] * 4
-        v1 = otal_cr_hyperbolic(angles, h)
-        v2 = otal_cr_hyperbolic(
-            [angles[1], angles[0], angles[3], angles[2]], h)
-        assert v1 == pytest.approx(v2, rel=1e-10)
-
-    def test_overlapping_horoballs_rejected(self):
-        with pytest.raises(DomainError, match="overlap"):
-            otal_cr_hyperbolic([0.3, 0.35, 2.9, 4.8], [0.9, 0.9, 0.1, 0.1])
-
-    @pytest.mark.parametrize("angles", [[0.3, 1.4, 1.4, 4.8],
-                                        [0.3, 1.4, 1.4 + TWO_PI, 4.8]])
-    def test_coincident_angles_overlap(self, angles):
-        # the horoballs' distance is log(0) there, and is never taken
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="horoballs 1 and 2 overlap"):
-                otal_cr_hyperbolic(angles, [0.05] * 4)
-
-    @pytest.mark.parametrize("angles,horoballs", [
-        ([0.3, 1.4, 2.9], [0.05] * 4),
-        ([0.3, 1.4, 2.9, 4.8], [0.05] * 3),
-        ([0.3, 1.4, 2.9, 4.8, 5.5], [0.05] * 5),
-        ([0.3, 1.4, 2.9, 4.8], [0.05, 0.0, 0.05, 0.05]),
-        ([0.3, 1.4, 2.9, 4.8], [0.05, 0.05, 1.0, 0.05]),
-        ([np.nan, 1.0, 2.0, 3.0], [0.05] * 4),
-        ([0.0, 1.0, 2.0, np.inf], [0.05] * 4),
-    ])
-    def test_bad_input_rejected(self, angles, horoballs):
-        with pytest.raises(ValueError, match="four|must lie in|must be finite") as exc:
-            otal_cr_hyperbolic(angles, horoballs)
-        assert not isinstance(exc.value, DomainError)
-
-    def test_full_turn_leaves_value(self):
-        angles = [0.3, 1.4, 2.9, 4.8]
-        h = [0.05, 0.02, 0.08, 0.03]
-        want = otal_cr_hyperbolic(angles, h)
-        for i in range(4):
-            for turn in (TWO_PI, -TWO_PI):
-                moved = list(angles)
-                moved[i] += turn
-                got = otal_cr_hyperbolic(moved, h)
-                assert got == pytest.approx(want, rel=1e-13)
-
-
 def is_counter_clockwise(a, b, c):
     """Whether a, b, c run counter-clockwise around the circle."""
     return (b - a) % TWO_PI < (c - a) % TWO_PI
@@ -837,7 +765,8 @@ def draw_points_loop(sample, rng, k, min_gap=1e-3, tries=400):
         if all(circular_gap(a.circle_coord, b.circle_coord) > min_gap
                for i, a in enumerate(chosen) for b in chosen[i + 1:]):
             return chosen
-    raise DomainError("could not draw a separated tuple; lower min_gap")
+    raise DomainError(f"could not draw {k} points more than min_gap "
+                      f"{min_gap!r} apart in {tries} tries in a row")
 
 
 def floyd_replaces(sample, k, count, min_gap, seed):
@@ -990,6 +919,17 @@ class TestBatchedChecks:
         six = SampleSet(points=sample_l2.points[:6], group=sample_l2.group)
         with pytest.raises(DomainError, match="too small: 6 < 7"):
             draw_indices(six, np.random.default_rng(0), 7, 5)
+
+    def test_crowded_sample_names_the_draw(self, octagon):
+        # eight points 1e-4 rad apart hold no 4-tuple DEFAULT_MIN_GAP apart;
+        # check_relation12 takes no min_gap, so the message states the facts
+        crowded = SampleSet(points=tuple(BoundaryPoint.from_angle(1.0 + 1e-4 * i)
+                                         for i in range(8)), group=octagon)
+        want = (f"could not draw 4 points more than min_gap 0.001 apart "
+                f"in {DRAW_TRIES} tries in a row")
+        with pytest.raises(DomainError) as exc:
+            check_relation12(classical_cr_fn(), crowded, 1)
+        assert str(exc.value) == want
 
     def test_argmax_semantics(self, sample_l2):
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")

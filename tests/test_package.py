@@ -20,6 +20,17 @@ def workload_aliases():
     return tree, aliases
 
 
+def public_callables():
+    """(module short name, name, object) of each public function and class
+    defined in a crlab module, not imported into it."""
+    for mod in (projlin, surfgrp, crossratio):
+        short = mod.__name__.rpartition(".")[2]
+        for name, obj in vars(mod).items():
+            if (not name.startswith("_") and callable(obj)
+                    and getattr(obj, "__module__", None) == mod.__name__):
+                yield short, name, obj
+
+
 def test_star_import_binds_every_name_in_all():
     namespace = {}
     exec("from crlab import *", namespace)
@@ -30,18 +41,13 @@ def test_settable_options_pinned():
     # every parameter with a default on a public function or class is an
     # option some caller can set; a new one shows up here as a test edit
     options = {}
-    for mod in (projlin, surfgrp, crossratio):
-        short = mod.__name__.rpartition(".")[2]
-        for name, obj in vars(mod).items():
-            public = (not name.startswith("_")
-                      and getattr(obj, "__module__", None) == mod.__name__)
-            # an exception class takes *args only and has no signature
-            if not public or not callable(obj) or (
-                    isinstance(obj, type) and issubclass(obj, Exception)):
-                continue
-            for param in inspect.signature(obj).parameters.values():
-                if param.default is not param.empty:
-                    options[f"{short}.{name}.{param.name}"] = repr(param.default)
+    for short, name, obj in public_callables():
+        # an exception class takes *args only and has no signature
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if param.default is not param.empty:
+                options[f"{short}.{name}.{param.name}"] = repr(param.default)
     assert options == {
         "surfgrp.BoundaryPoint.eigenvalue": "nan",
         "surfgrp.fixed_points_2x2.word": "None",
@@ -55,6 +61,37 @@ def test_settable_options_pinned():
         "crossratio.check_relation12.seed": "0",
         "crossratio.check_relation13.seed": "0",
         "crossratio.embed_from_cr.seed": "0",
+    }
+
+
+def test_public_names_pinned():
+    # a removed public function or class, or a new one, shows up here as a
+    # test edit
+    names = {}
+    for short, name, _ in public_callables():
+        names.setdefault(short, set()).add(name)
+    assert names == {
+        "projlin": {
+            "SpectrumError", "dominant_line", "normalize_rep",
+            "normalize_rows", "spanning_det", "sym_power_rep", "veronese",
+            "veronese_dual",
+        },
+        "surfgrp": {
+            "BoundaryPoint", "GeneratorSet", "GroupDataError", "SampleSet",
+            "Word", "act_on_angle", "angle_of_line", "circular_gap",
+            "conjugate_split", "enumerate_words", "evaluate",
+            "fixed_points_2x2", "free_reduce", "line_of_angle",
+            "make_generator_set", "octagon_fuchsian", "sample_boundary",
+            "translate_point",
+        },
+        "crossratio": {
+            "CrossRatioFn", "CurvePair", "DomainError", "check_axioms",
+            "check_invariance", "check_relation12", "check_relation13",
+            "classical_cr", "classical_cr_fn", "curve_cr", "curve_cr_fn",
+            "draw_indices", "draw_points", "dual_cr", "embed_from_cr",
+            "flow_from_cr", "period", "representation_pair", "triple_ratio",
+            "veronese_pair",
+        },
     }
 
 

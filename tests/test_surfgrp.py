@@ -147,6 +147,28 @@ class TestEvaluate:
         assert circular_gap(att.circle_coord, rep.circle_coord) > 1e-12
 
 
+class TestGeneratorSet:
+    @pytest.mark.parametrize("mats", [
+        (np.diag([2.0, 0.5]), np.eye(3)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.ones(4)),
+    ], ids=["mixed", "not-square", "flat"])
+    def test_shapes_checked_before_inverting(self, mats):
+        # unchecked, a mixed set would reach `evaluate`'s matmul and raise a
+        # plain ValueError, and a 2 x 3 matrix would fail inversion as singular
+        with pytest.raises(GroupDataError,
+                           match="must be square matrices of one shape"):
+            GeneratorSet(mats)
+
+    @pytest.mark.parametrize("mat,message", [
+        (np.eye(3), r"needs 2 x 2 matrices, not \(3, 3\)"),
+        (np.ones((2, 3)), r"generator 0 has shape \(2, 3\)"),
+    ], ids=["3x3", "2x3"])
+    def test_base_group_needs_2x2(self, mat, message):
+        with pytest.raises(GroupDataError, match=message):
+            make_generator_set([mat] * 4)
+
+
 class TestOctagon:
     def test_relator(self):
         g = octagon_fuchsian()
@@ -351,8 +373,6 @@ class TestSampleBoundary:
         rep = GeneratorSet(tuple(sym_power_rep(3, m) for m in mats))
         with pytest.raises(GroupDataError, match="group of 2 x 2 matrices"):
             sample_boundary(rep, 1)
-        with pytest.raises(GroupDataError, match="group of 2 x 2 matrices"):
-            sample_boundary(GeneratorSet(mats + (np.eye(3),)), 0)
 
     def test_overflow_raises_as_the_loop_does(self):
         # a.a's trace squares to inf, and a.a.a.a overflows: the stacked
