@@ -10,11 +10,12 @@ is computed and cached on its own, so a value of one never waits on, or
 fails with, the other.
 
 Every evaluator takes four boundary points, and also rows of indices into a
-SampleSet (`CrossRatioFn.on_indices`).  On a sample set the pairing cross
-ratio of a curve pair is a gather from two N x n arrays, the pair's
-`table(sample)` of xi and xi* at every sample point, built once per sample
-set; a row the gather cannot evaluate goes to `curve_cr`, which raises its
-error.  Other evaluators loop over the rows.  The sample-set checks share one
+SampleSet (`on_indices`).  A curve pair is its own cross ratio: on four
+points it is `curve_cr`, and on a sample set it gathers from two N x n
+arrays, its `table(sample)` of xi and xi* at every sample point, built once
+per sample set; a row the gather cannot evaluate goes to `curve_cr`, which
+raises its error.  A `CrossRatioFn`, a cross ratio given as a point
+function, loops over the rows.  The sample-set checks share one
 routine (`_drive`): it draws all seeded index tuples first, DEFAULT_MIN_GAP
 apart, and evaluates b on every quadruple they need in one batched call.
 Every check reduces through `_report` to one schema: per identity the worst
@@ -50,28 +51,19 @@ class DomainError(ValueError):
 
 @dataclass(eq=False)
 class CrossRatioFn:
-    """Evaluator on quadruples of boundary points plus provenance label.
-
-    `indexed(sample, idx)` evaluates b on the rows (x, y, z, t) of an (m, 4)
-    array of sample indices; only `curve_cr_fn` sets it.  Without it,
-    `on_indices` loops the evaluator.
-    """
+    """A cross ratio given as a function of four boundary points, with a
+    provenance label: the classical one, `dual_cr`, or any evaluator that is
+    not a curve pair's."""
 
     evaluator: callable
     label: str
-    indexed: callable = None
 
     def __call__(self, x, y, z, t):
         return self.evaluator(x, y, z, t)
 
     def on_indices(self, sample, idx):
-        """b on each row of an (m, 4) array of indices into sample.points.
-
-        Raises what evaluating the rows one by one, in order, would raise
-        first.
-        """
-        if self.indexed is not None:
-            return self.indexed(sample, idx)
+        """b on each row of an (m, 4) array of indices into sample.points,
+        evaluated one by one, in order."""
         pts = sample.points
         return np.array([self.evaluator(pts[x], pts[y], pts[z], pts[t])
                          for x, y, z, t in idx.tolist()], float)
@@ -122,13 +114,18 @@ def classical_cr_fn():
 
 @dataclass(eq=False)
 class CurvePair:
-    """A curve in P(R^n) and a dual curve in P(R^n*) over the boundary circle."""
+    """A curve in P(R^n) and a dual curve in P(R^n*) over the boundary
+    circle, and their pairing cross ratio: the pair called on (x, y, z, t)
+    gives `curve_cr` of it there."""
 
     n: int
     xi_fn: callable          # BoundaryPoint -> unit vector
     xistar_fn: callable      # BoundaryPoint -> unit covector
     label: str
     _tables: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __call__(self, x, y, z, t):
+        return curve_cr(self, (x, y, z, t))
 
     def xi(self, p):
         return self.xi_fn(p)
@@ -154,6 +151,26 @@ class CurvePair:
                         pass
             self._tables[sample] = got
         return got
+
+    def on_indices(self, sample, idx):
+        """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
+
+        A gather from `table(sample)`.  Raises what `curve_cr` on the rows
+        one by one would raise first: the first row with a degenerate
+        pairing, or a NaN one from a value that raised, is handed to
+        `curve_cr` itself.
+        """
+        xi, xistar = self.table(sample)
+        x, y, z, t = idx.T
+        vx, vz = xi.take(x, axis=0), xi.take(z, axis=0)
+        cy, ct = xistar.take(y, axis=0), xistar.take(t, axis=0)
+        dzy = np.vecdot(vz, cy)
+        dxt = np.vecdot(vx, ct)
+        suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
+        for r in np.flatnonzero(suspect):
+            curve_cr(self, [sample.points[i] for i in idx[r]])
+        num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
+        return num / (dzy * dxt)
 
 
 def veronese_pair(n):
@@ -259,34 +276,9 @@ def curve_cr(pair, q):
     return num / (dzy * dxt)
 
 
-def _table_cr(pair, sample, idx):
-    """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
-
-    A gather from `pair.table(sample)`.  Raises what `curve_cr` on the rows
-    one by one would raise first: the first row with a degenerate pairing,
-    or a NaN one from a value that raised, is handed to `curve_cr` itself.
-    """
-    xi, xistar = pair.table(sample)
-    x, y, z, t = idx.T
-    vx, vz = xi.take(x, axis=0), xi.take(z, axis=0)
-    cy, ct = xistar.take(y, axis=0), xistar.take(t, axis=0)
-    dzy = np.vecdot(vz, cy)
-    dxt = np.vecdot(vx, ct)
-    suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
-    for r in np.flatnonzero(suspect):
-        curve_cr(pair, [sample.points[i] for i in idx[r]])
-    num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
-    return num / (dzy * dxt)
-
-
 def curve_cr_fn(pair):
-    """`curve_cr` of a pair; on sample indices it gathers from `pair.table`."""
-
-    def ev(x, y, z, t):
-        return curve_cr(pair, (x, y, z, t))
-
-    return CrossRatioFn(evaluator=ev, label=pair.label,
-                        indexed=lambda sample, idx: _table_cr(pair, sample, idx))
+    """The cross ratio of a curve pair, which is the pair itself."""
+    return pair
 
 
 def dual_cr(b):
@@ -392,6 +384,7 @@ def _report(check, b, viols, witness, **fields):
     is None when no violation is above 0.  A NaN counts as inf, so an
     identity that could not be evaluated fails, at its first NaN or inf.
     """
+    tuples = len(next(iter(viols.values())))  # every identity has one per tuple
     per_identity, argmax = {}, {}
     for name, viol in viols.items():
         v = np.concatenate(([0.0], np.where(np.isnan(viol), np.inf,
@@ -400,7 +393,7 @@ def _report(check, b, viols, witness, **fields):
         per_identity[name] = float(v[k])
         argmax[name] = witness(k - 1) if k else None
     worst = max(per_identity.values())
-    return {"check": check, "label": b.label, "tuples": len(viol),
+    return {"check": check, "label": b.label, "tuples": tuples,
             "per_identity": per_identity, "argmax": argmax,
             "max_violation": worst, "passed": bool(worst < CHECK_TOL),
             "tol": CHECK_TOL, **fields}
@@ -427,7 +420,7 @@ def check_axioms(b, sample, count, seed=0):
     `argmax` is the angles of the drawn tuple (x, y, z, t, w), w being the
     point the cocycles factor through, or None when no violation is above 0.
 
-    For a pairing cross ratio such as `curve_cr_fn`'s, symmetry, both
+    For a pairing cross ratio such as a `CurvePair`, symmetry, both
     cocycles and the unit locus hold identically in the pairings, so on
     those evaluators they measure float error only; the zero locus, xi(x)
     in the kernel of xi*(x), carries the content.  The whole battery tests

@@ -98,9 +98,9 @@ class GeneratorSet:
 
     The base group has 2x2 unimodular matrices; the images of a
     representation use the same type with n x n matrices.  The inverses are
-    computed once here, so that word products only multiply.  Matrices that
-    are not square or not all of one shape, and non-finite entries, are
-    rejected first: LAPACK inverts a NaN matrix without error.
+    computed once here, so that word products only multiply.  An empty set,
+    matrices that are not square or not all of one shape, and non-finite
+    entries are rejected first: LAPACK inverts a NaN matrix without error.
     """
 
     matrices: tuple          # tuple of square float arrays
@@ -108,6 +108,8 @@ class GeneratorSet:
     _fixed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if len(self.matrices) == 0:
+            raise GroupDataError("a generator set needs at least one matrix")
         shapes = [np.shape(m) for m in self.matrices]
         for i, s in enumerate(shapes):
             if len(s) != 2 or s[0] != s[1] or s != shapes[0]:

@@ -51,7 +51,6 @@ def test_settable_options_pinned():
     assert options == {
         "surfgrp.BoundaryPoint.eigenvalue": "nan",
         "surfgrp.fixed_points_2x2.word": "None",
-        "crossratio.CrossRatioFn.indexed": "None",
         "crossratio.draw_indices.min_gap": "0.001",
         "crossratio.draw_points.min_gap": "0.001",
         "crossratio.check_axioms.seed": "0",

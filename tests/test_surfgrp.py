@@ -42,6 +42,10 @@ class TestWords:
             assert c.is_cyclically_reduced()
         assert conjugate_split(Word.of(1, -2, 3, 2, -1))[0].letters == (1, -2)
 
+    def test_zero_letter_rejected(self):
+        with pytest.raises(ValueError, match="signed and nonzero"):
+            Word.of(0)
+
     def test_str(self):
         assert str(Word(())) == "1"
         assert str(Word.of(1, -2, 3, -4)) == "a.b'.c.d'"
@@ -159,6 +163,12 @@ class TestGeneratorSet:
         with pytest.raises(GroupDataError,
                            match="must be square matrices of one shape"):
             GeneratorSet(mats)
+
+    def test_empty_set_rejected(self):
+        # unchecked, `evaluate` raised an IndexError on it and
+        # `sample_boundary` numpy's "need at least one array to stack"
+        with pytest.raises(GroupDataError, match="at least one matrix"):
+            GeneratorSet(())
 
     @pytest.mark.parametrize("mat,message", [
         (np.eye(3), r"needs 2 x 2 matrices, not \(3, 3\)"),
