@@ -9,19 +9,22 @@ limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  Each side
 is computed and cached on its own, so a value of one never waits on, or
 fails with, the other.
 
-Every evaluator takes four boundary points, and also rows of indices into a
-SampleSet (`on_indices`).  A curve pair is its own cross ratio: on four
-points it is `curve_cr`, and on a sample set it gathers from two N x n
-arrays, its `table(sample)` of xi and xi* at every sample point, built once
-per sample set; a row the gather cannot evaluate goes to `curve_cr`, which
-raises its error.  A `CrossRatioFn`, a cross ratio given as a point
-function, loops over the rows.  The sample-set checks share one
-routine (`_drive`): it draws all seeded index tuples first, DEFAULT_MIN_GAP
-apart, and evaluates b on every quadruple they need in one batched call.
-Every check reduces through `_report` to one schema: per identity the worst
-violation and its witness (`per_identity`, `argmax`), their maximum, and
-`passed` against CHECK_TOL.  A failed identity shows there, not as a raised
-error.
+Every evaluator takes four boundary points, and also tuples of indices
+into a SampleSet with the quadruples of positions in a tuple it is needed
+on (`on_indices`).  A curve pair is its own cross ratio: on four points it
+is `curve_cr`, and on a sample set it reads its `table(sample)`, two N x n
+arrays of xi and xi* at every sample point, built once per sample set.
+There it takes each distinct pairing <xi(a), xi*(b)> the quadruples of a
+tuple need once, in one vectorized dot product over all tuples, and forms
+each quadruple's quotient from them; a quadruple the gather cannot
+evaluate goes to `curve_cr`, which raises its error.  A `CrossRatioFn`, a
+cross ratio given as a point function, loops over the tuples.  The
+sample-set checks share one routine (`_drive`): it draws all seeded index
+tuples first, DEFAULT_MIN_GAP apart, and evaluates b on every quadruple
+they need in one batched call.  Every check reduces through `_report` to
+one schema: per identity the worst violation and its witness
+(`per_identity`, `argmax`), their maximum, and `passed` against CHECK_TOL.
+A failed identity shows there, not as a raised error.
 """
 
 from dataclasses import dataclass, field
@@ -61,12 +64,14 @@ class CrossRatioFn:
     def __call__(self, x, y, z, t):
         return self.evaluator(x, y, z, t)
 
-    def on_indices(self, sample, idx):
-        """b on each row of an (m, 4) array of indices into sample.points,
-        evaluated one by one, in order."""
+    def on_indices(self, sample, idx, quads):
+        """b on each quadruple of `quads`, a tuple of (x, y, z, t) position
+        tuples, of each row of a (count, k) array of indices into
+        sample.points, evaluated one by one, tuple by tuple: a
+        (len(quads), count) array."""
         pts = sample.points
-        return np.array([self.evaluator(pts[x], pts[y], pts[z], pts[t])
-                         for x, y, z, t in idx.tolist()], float)
+        return np.array([[self.evaluator(*(pts[row[i]] for i in q)) for q in quads]
+                         for row in idx.tolist()], float).T
 
 
 # -- classical cross ratio ----------------------------------------------------
@@ -152,25 +157,45 @@ class CurvePair:
             self._tables[sample] = got
         return got
 
-    def on_indices(self, sample, idx):
-        """`curve_cr` on each row (x, y, z, t) of sample indices, bit for bit.
+    def on_indices(self, sample, idx, quads):
+        """`curve_cr` on each quadruple of `quads`, a tuple of (x, y, z, t)
+        position tuples, of each row of a (count, k) array of sample
+        indices, bit for bit: a (len(quads), count) array.
 
-        A gather from `table(sample)`.  Raises what `curve_cr` on the rows
-        one by one would raise first: the first row with a degenerate
-        pairing, or a NaN one from a value that raised, is handed to
-        `curve_cr` itself.
+        A gather from `table(sample)`: each distinct pairing the quadruples
+        of a tuple need is one dot product, and each quadruple's quotient
+        is formed from its four pairings as `curve_cr` forms it.  Raises
+        what `curve_cr` tuple by tuple would raise first: the first
+        quadruple with a degenerate pairing, or a NaN one from a value that
+        raised, is handed to `curve_cr` itself.
         """
         xi, xistar = self.table(sample)
-        x, y, z, t = idx.T
-        vx, vz = xi.take(x, axis=0), xi.take(z, axis=0)
-        cy, ct = xistar.take(y, axis=0), xistar.take(t, axis=0)
-        dzy = np.vecdot(vz, cy)
-        dxt = np.vecdot(vx, ct)
-        suspect = ~((np.abs(dzy) > PAIRING_TOL) & (np.abs(dxt) > PAIRING_TOL))
-        for r in np.flatnonzero(suspect):
-            curve_cr(self, [sample.points[i] for i in idx[r]])
-        num = np.vecdot(vx, cy) * np.vecdot(vz, ct)
-        return num / (dzy * dxt)
+        on_xi, on_xistar, of_quads = _pairings(quads)
+        p = np.vecdot(xi.take(idx.T[on_xi], axis=0),
+                      xistar.take(idx.T[on_xistar], axis=0))  # (pairs, count)
+        xy, zt, zy, xt = p[of_quads]
+        suspect = ~((np.abs(zy) > PAIRING_TOL) & (np.abs(xt) > PAIRING_TOL))
+        for r, j in zip(*np.nonzero(suspect.T)):  # tuple by tuple
+            curve_cr(self, [sample.points[i] for i in idx[r, list(quads[j])]])
+        return (xy * zt) / (zy * xt)
+
+
+@lru_cache(maxsize=16)
+def _pairings(quads):
+    """The distinct pairings <xi(a), xi*(b)> that quads, quadruples of
+    positions (x, y, z, t) in a tuple, need: the positions a and b of each,
+    and a (4, len(quads)) array of where the pairings (x, y), (z, t),
+    (z, y) and (x, t) of each quadruple are among them."""
+    cols = {}
+    for x, y, z, t in quads:
+        for pos in ((x, y), (z, t), (z, y), (x, t)):
+            cols.setdefault(pos, len(cols))
+    on_xi, on_xistar = np.array(list(cols), dtype=np.intp).T
+    of_quads = np.array([[cols[x, y], cols[z, t], cols[z, y], cols[x, t]]
+                         for x, y, z, t in quads], dtype=np.intp).T
+    for a in (on_xi, on_xistar, of_quads):
+        a.flags.writeable = False  # shared by every caller of the cache
+    return on_xi, on_xistar, of_quads
 
 
 def veronese_pair(n):
@@ -300,11 +325,12 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     and then shuffles the row with k-1 bounded draws in [0, m] for
     m = k-1 .. 1.  Here a whole batch of candidates comes from one
     `rng.integers` call with those bounds, which consumes the stream
-    exactly as the choice calls would, and the rows are built column by
-    column over the batch: each Floyd step fills one column, each shuffle
-    step swaps one column with the drawn position of every row.  numpy
-    shuffles a tail instead when n > 10,000 and k > n // 50; there the rows
-    differ from `rng.choice`'s, though the draw is still uniform.
+    exactly as the choice calls would.  A row whose k Floyd draws are
+    distinct replaces none of them, so it is its draws as they came; only
+    a row with a repeated draw replays Floyd's steps.  Each shuffle step then
+    swaps one column with the drawn position of every row.  numpy shuffles
+    a tail instead when n > 10,000 and k > n // 50; there the rows differ
+    from `rng.choice`'s, though the draw is still uniform.
 
     The gaps of a batch are tested at once.  A batch holds no more
     candidates than the rows still missing or the rejections left before
@@ -327,10 +353,12 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     while filled < count:
         size = (min(count - filled, DRAW_TRIES - run), 2 * k - 1)
         u = rng.integers(0, highs, size=size, endpoint=True)
-        cand = np.empty((len(u), k), dtype=np.intp)
-        for s in range(k):  # Floyd's step s draws in [0, n-k+s]
-            taken = (cand[:, :s] == u[:, s, None]).any(axis=1)
-            cand[:, s] = np.where(taken, n - k + s, u[:, s])
+        cand = u[:, :k].astype(np.intp)
+        for r in np.flatnonzero((u[:, i] == u[:, j]).any(axis=1)):
+            row = []  # Floyd's step s draws in [0, n-k+s]
+            for s, drawn in enumerate(u[r, :k].tolist()):
+                row.append(n - k + s if drawn in row else drawn)
+            cand[r] = row
         rows = np.arange(len(u))
         for m in range(k - 1, 0, -1):  # the shuffle, as numpy runs it
             p = u[:, 2 * k - 1 - m]
@@ -357,14 +385,13 @@ def _drive(b, sample, count, k, quads, seed):
     """Draw count seeded k-tuples of sample indices and evaluate b on them.
 
     `quads` holds, as positions into a tuple, each quadruple b is needed on.
-    All of them are evaluated in one batched call, in the order a loop over
-    the tuples meets them, so a failure is the one that loop would raise.
-    Returns the (count, k) indices and one array of count values per row
-    of `quads`.
+    All of them are evaluated in one batched call, `b.on_indices`, which
+    raises the failure a loop over the tuples, and over the quadruples of
+    each, would meet first.  Returns the (count, k) indices and one array
+    of count values per quadruple of `quads`.
     """
     idx = draw_indices(sample, np.random.default_rng(seed), k, count)
-    vals = b.on_indices(sample, idx.take(quads, axis=1).reshape(-1, 4))
-    return idx, vals.reshape(count, len(quads)).T
+    return idx, b.on_indices(sample, idx, quads)
 
 
 def _rel(a, b):
@@ -379,21 +406,20 @@ def _report(check, b, viols, witness, **fields):
     """The report of every check; `fields` are the check's own entries.
 
     `viols` maps each identity's name to its violation on each tuple, and
-    `witness(k)` names tuple k.  Per identity, a running maximum from 0.0
-    updated on a strict > gives the worst violation and its witness, which
-    is None when no violation is above 0.  A NaN counts as inf, so an
-    identity that could not be evaluated fails, at its first NaN or inf.
+    `witness(k)` names tuple k.  All identities are reduced at once: a
+    violation at or below 0 counts as 0.0 and a NaN as inf, so an identity
+    that could not be evaluated fails.  Per identity the first tuple with
+    the largest violation is the witness, and None when that is 0.
     """
-    tuples = len(next(iter(viols.values())))  # every identity has one per tuple
-    per_identity, argmax = {}, {}
-    for name, viol in viols.items():
-        v = np.concatenate(([0.0], np.where(np.isnan(viol), np.inf,
-                                            np.where(viol > 0.0, viol, 0.0))))
-        k = int(np.argmax(v))
-        per_identity[name] = float(v[k])
-        argmax[name] = witness(k - 1) if k else None
-    worst = max(per_identity.values())
-    return {"check": check, "label": b.label, "tuples": tuples,
+    v = np.array(list(viols.values()))  # every identity has one per tuple
+    v = np.where(np.isnan(v), np.inf, np.where(v > 0.0, v, 0.0))
+    worsts = v.max(axis=1).tolist()
+    firsts = np.argmax(v, axis=1).tolist()
+    per_identity = dict(zip(viols, worsts))
+    argmax = {name: witness(k) if worst else None
+              for name, k, worst in zip(viols, firsts, worsts)}
+    worst = max(worsts)
+    return {"check": check, "label": b.label, "tuples": v.shape[1],
             "per_identity": per_identity, "argmax": argmax,
             "max_violation": worst, "passed": bool(worst < CHECK_TOL),
             "tol": CHECK_TOL, **fields}
@@ -402,12 +428,12 @@ def _report(check, b, viols, witness, **fields):
 # positions in the drawn tuple (x, y, z, t, w) of the quadruples b is
 # evaluated on: (x,y,z,t), then the swapped pairs, the two cocycle
 # factorizations through w, the zero locus and the two unit loci
-_AXIOM_QUADS = np.array([
+_AXIOM_QUADS = (
     (0, 1, 2, 3), (2, 3, 0, 1),
     (0, 1, 2, 4), (0, 4, 2, 3),
     (0, 1, 4, 3), (4, 1, 2, 3),
     (0, 0, 2, 3), (0, 1, 0, 3), (0, 1, 2, 1),
-])
+)
 
 
 def check_axioms(b, sample, count, seed=0):
@@ -429,10 +455,11 @@ def check_axioms(b, sample, count, seed=0):
     """
     idx, (v, swapped, zw1, zw2, wy1, wy2, zero, unit1, unit2) = _drive(
         b, sample, count, 5, _AXIOM_QUADS, seed)
+    rel = _rel(v, np.array((swapped, zw1 * zw2, wy1 * wy2)))
     viols = {
-        "symmetry": _rel(v, swapped),
-        "cocycle-zw": _rel(v, zw1 * zw2),
-        "cocycle-wy": _rel(v, wy1 * wy2),
+        "symmetry": rel[0],
+        "cocycle-zw": rel[1],
+        "cocycle-wy": rel[2],
         "zero-locus": np.abs(zero),
         "unit-locus": np.maximum(np.abs(unit1 - 1.0), np.abs(unit2 - 1.0)),
     }
@@ -505,9 +532,9 @@ def triple_ratio(b, x, y, z, t):
 
 
 # (f,v,e,u), (u,v,e,f) as positions in the drawn tuple (f, v, e, u)
-_RELATION12_QUADS = np.array([(0, 1, 2, 3), (3, 1, 2, 0)])
+_RELATION12_QUADS = ((0, 1, 2, 3), (3, 1, 2, 0))
 # (f,v,e,u), (g,w,e,u), (f,w,e,u), (g,v,e,u) in the drawn (f, g, v, w, e, u)
-_RELATION13_QUADS = np.array([(0, 2, 4, 5), (1, 3, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5)])
+_RELATION13_QUADS = ((0, 2, 4, 5), (1, 3, 4, 5), (0, 3, 4, 5), (1, 2, 4, 5))
 
 
 def check_relation12(b, sample, count, seed=0):
@@ -541,7 +568,7 @@ def embed_from_cr(b, w, e, u, sample, count, seed=0):
         return b(p, w, e, u)
 
     # w, e and u need not be sample points, so fmap is evaluated point by point
-    idx, (v,) = _drive(b, sample, count, 4, [(0, 1, 2, 3)], seed)
+    idx, (v,) = _drive(b, sample, count, 4, ((0, 1, 2, 3),), seed)
     images = [classical_cr(*(fmap(sample.points[i]) for i in row))
               for row in idx.tolist()]
     viol = {"embedding-reproduction": _rel(np.array(images, float), v)}

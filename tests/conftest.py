@@ -27,8 +27,8 @@ def sample_l2(octagon):
 
 @pytest.fixture(scope="session")
 def sym_reps(octagon):
-    """Symmetric-power generator images for n = 2..5."""
+    """Symmetric-power generator images for n = 2..5, 7 and 9."""
     return {
         n: tuple(sym_power_rep(n, m) for m in octagon.matrices)
-        for n in (2, 3, 4, 5)
+        for n in (2, 3, 4, 5, 7, 9)
     }

@@ -762,11 +762,12 @@ class TestCurvePairCrossRatio:
         assert pair(*q) == curve_cr(pair, q)
         assert calls == [q]
         calls.clear()
-        vals = pair.on_indices(sample_l2, np.array([[4, 5, 6, 7]]))
+        vals = pair.on_indices(sample_l2, np.array([[4, 5, 6, 7]]),
+                               ((0, 1, 2, 3),))
         assert np.isfinite(vals).all()
         assert calls == []  # no degenerate pairing: a gather only
         with pytest.raises(DomainError, match="degenerate pairing"):
-            pair.on_indices(sample_l2, np.array([[0, 1, 2, 0]]))
+            pair.on_indices(sample_l2, np.array([[0, 1, 2, 0]]), ((0, 1, 2, 3),))
         assert len(calls) == 1
 
 
@@ -823,14 +824,22 @@ def batch_sizes(sample, k, count, min_gap, seed):
     return sizes
 
 
+def embedding(b, sample, count, seed):
+    """`embed_from_cr`'s report, with w, e, u at three fixed sample points."""
+    w, e, u = sample.points[3:20:8]
+    return embed_from_cr(b, w, e, u, sample, count, seed)[1]
+
+
 class TestBatchedChecks:
     @pytest.mark.parametrize("sample_name", ["sample_l2", "sample_l3"])
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 9])
     def test_table_matches_looped_evaluator(
             self, request, octagon, sym_reps, sample_name, n):
+        # every quadruple set of the checks, through the gather and through
+        # `curve_cr` row by row, at every n the benchmark uses
         sample = request.getfixturevalue(sample_name)
         b = rep_cross_ratio(octagon, sym_reps, n)
-        for check in (check_axioms, check_relation12, check_relation13):
+        for check in (check_axioms, check_relation12, check_relation13, embedding):
             for seed in range(4):
                 want = outcome(check, looped(b), sample, seed)
                 assert outcome(check, b, sample, seed) == want
@@ -973,6 +982,19 @@ class TestBatchedChecks:
         assert rep["argmax"]["cocycle-zw"] == first
         assert rep["strictness_floor"] == 0.5
         assert rep["max_violation"] == 0.5 and not rep["passed"]
+        # violations no check above gives: all at or below 0 with a -0.0
+        # among them count as 0.0, with no witness; an inf before a NaN,
+        # which counts as inf too, is the first maximum and names the witness
+        rep = crossratio._report("made-up", b, {
+            "non-positive": np.array([-0.0, -1.0, 0.0, -2.0]),
+            "inf-then-nan": np.array([0.5, np.inf, np.nan, 2.0]),
+        }, lambda k: ("tuple", k))
+        assert rep["per_identity"]["non-positive"] == 0.0
+        assert not np.signbit(rep["per_identity"]["non-positive"])
+        assert rep["argmax"]["non-positive"] is None
+        assert rep["per_identity"]["inf-then-nan"] == np.inf
+        assert rep["argmax"]["inf-then-nan"] == ("tuple", 1)
+        assert rep["max_violation"] == np.inf and rep["tuples"] == 4
 
     def test_nan_violation_fails_every_check(self, sample_l2):
         # a NaN counts as inf, and the witness is the first tuple that gave
