@@ -27,6 +27,7 @@ one schema: per identity the worst violation and its witness
 A failed identity shows there, not as a raised error.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,7 +44,7 @@ from .surfgrp import (
 PAIRING_TOL = 1e-12      # normalized pairing below this counts as degenerate
 DEFAULT_MIN_GAP = 1e-3   # angular floor for randomly drawn tuples
 DRAW_TRIES = 400         # rejected draws before a tuple draw gives up
-FLOW_TOL = 1e-12         # width of the flow's final bracket, in angle
+FLOW_TOL = 1e-12         # the flow's final bracket is narrower, in angle
 PERIOD_TOL = 1e-8        # largest gap between a period at two base points
 CHECK_TOL = 1e-9         # a check passes when its worst violation is below this
 
@@ -577,83 +578,100 @@ def embed_from_cr(b, w, e, u, sample, count, seed=0):
 
 # -- flow generated by a cross ratio ------------------------------------------
 
-def _unwrap_arc(a_minus, a_zero, a_plus):
-    """Coordinates of x-, x0, x+ along the arc from x- to x+ that holds x0.
-
-    They increase on a counter-clockwise arc and decrease on a clockwise
-    one.
-    """
-    s = 1.0 if (a_zero - a_minus) % TWO_PI < (a_plus - a_minus) % TWO_PI else -1.0
-    lo, mid, hi = s * a_minus, s * a_zero, s * a_plus
-    mid = mid if mid > lo else mid + TWO_PI
-    hi = hi if hi > mid else hi + TWO_PI
-    return s * lo, s * mid, s * hi
-
-
 def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     """The point x_t with b(x+, x0, x-, x_t) = e^t on the arc from x- to x+
     that contains x0, in either orientation.
 
-    Searches in s, where phi(s) = end - (end - x0) 2^-s runs from x0 toward
-    end = x+ (t > 0) or x- (t < 0): near the endpoint log |b| is close to
-    linear in s.  Secant steps, each at most doubling s, bracket x_t within
-    2^-119 of the arc; Illinois false position then narrows the bracket to
-    FLOW_TOL in angle.  About ten evaluations of b in all.  Needs an
-    evaluator that accepts synthetic angle points; an eigen-sampled curve's
-    evaluator raises DomainError at them.
+    Searches in the chart of the classical cross ratio: with l0 = alpha l+
+    + gamma l- on the unit lines, the classical b(x+, x0, x-, .) is exactly
+    e^sigma at the line alpha e^sigma l+ + gamma l-, and every real sigma
+    lies on the arc through x0.  Toward the end x+ (t > 0) or x- (t < 0)
+    the search runs in s = |sigma| and puts e^-s on the other end's term,
+    so nothing overflows and the small term keeps its digits.  A first
+    probe at s = min(|t|, 1) and secant steps out bracket x_t; Illinois
+    false position narrows the bracket to FLOW_TOL in angle, closed from
+    both sides.  Every probe evaluates b.  For the Veronese cross ratio of
+    Sym^(n-1) of a Fuchsian group log |b| = (n - 1) sigma is affine, so the
+    first secant step lands on x_t: 3 or 4 evaluations (mean 3.55) on the
+    test suite's 192 period flows at n = 3.  Needs an evaluator that accepts
+    synthetic angle points; an eigen-sampled curve's evaluator raises
+    DomainError at them.
 
-    A curve cross ratio stops the search well before 2^-119.  Toward x+
-    the pairing <xi(x), xi*(t)> shrinks like the distance to x+ to the
-    power n - 1 and falls below PAIRING_TOL: with `veronese_pair(3)` or
-    `veronese_pair(5)`, t above about 26-27 raises DomainError.  Toward x-
-    log |b| flattens at its rounding floor near -39, so t below about -38
-    raises "not bracketed".  A non-finite t raises DomainError at once.
+    Reach, with `veronese_pair(n)` on the triple (0, 2, 4): toward x+ the
+    pairing <xi(x+), xi*(x_t)> shrinks like the distance to x+ to the power
+    n - 1 and falls below PAIRING_TOL, so t >= 28 at n = 3 and t >= 27 at
+    n = 5 raise "degenerate pairing".  Toward x- = 0, where angles keep
+    their digits, t = -60 at n = 3 lands within 2e-13 of the closed form.
+    The search gives up as "not bracketed" at s = 700, near where e^-s
+    leaves the normal doubles.  A non-finite t, and x-, x0, x+ that are not
+    DEDUP_TOL apart, raise DomainError before b is evaluated.
     """
     if not np.isfinite(t):
         raise DomainError(f"flow time must be finite, got {t!r}")
-    lo, mid, hi = _unwrap_arc(
-        x_minus.circle_coord, x_zero.circle_coord, x_plus.circle_coord
-    )
+    a_minus, a_zero, a_plus = (p.circle_coord for p in (x_minus, x_zero, x_plus))
+    if min(circular_gap(a_plus, a_minus), circular_gap(a_zero, a_plus),
+           circular_gap(a_zero, a_minus)) <= DEDUP_TOL:
+        raise DomainError("flow needs three distinct points x-, x0, x+")
     if t == 0.0:
-        return BoundaryPoint.from_angle(mid % TWO_PI)
-    end = hi if t > 0 else lo
+        return BoundaryPoint.from_angle(a_zero)
+    lp, l0, lm = x_plus.line, x_zero.line, x_minus.line
+    d = _det2(lp, lm)
+    # l0 = alpha l+ + gamma l- by Cramer; the end's term stays whole
+    end, other = _det2(l0, lm) / d * lp, _det2(lp, l0) / d * lm
+    if t < 0:
+        end, other = other, end
+    (ex, ey), (ox, oy) = end.tolist(), other.tolist()
+    k = 2.0 * abs(ex * oy - ey * ox)   # |d angle / ds| = k e^-s / |line(s)|^2
     sign = 1.0 if t > 0 else -1.0
-    speed = abs(end - mid) * np.log(2.0)   # |dphi/ds| at s = 0
+    reach = 700.0
 
-    def phi(s):
-        return end - (end - mid) * 2.0 ** -s
+    def angle(s):
+        e = math.exp(-s)
+        return 2.0 * (math.atan2(ey + e * oy, ex + e * ox) % math.pi)
+
+    def inset(s, room):
+        """The step in s that moves the point by FLOW_TOL / 4 in angle near
+        s, but at most room / 4."""
+        e = math.exp(-s)
+        x, y = ex + e * ox, ey + e * oy
+        return min(0.25 * FLOW_TOL * (x * x + y * y) / k / e, 0.25 * room)
 
     def f(s):
-        pt = BoundaryPoint.from_angle(phi(s) % TWO_PI)
-        return sign * (float(np.log(abs(b(x_plus, x_zero, x_minus, pt)))) - t)
+        phi = angle(s)
+        pt = BoundaryPoint.from_angle(phi)
+        return sign * (float(np.log(abs(b(x_plus, x_zero, x_minus, pt)))) - t), phi
 
-    # f(0) = -|t|, as b(x+, x0, x-, x0) = 1.  Each probe lands a quarter
-    # unit of s past the secant root, so it overshoots x_t by little: closer
-    # to the endpoint b itself may raise DomainError.
-    a, fa, c = 0.0, -abs(t), 1.0
-    while (fc := f(c)) < 0:
-        if c >= 119.0:
+    # f(0) = -|t| at x0, as b(x+, x0, x-, x0) = 1, with no evaluation.  Each
+    # secant step out runs through (0, f(0)), as near x_t the rounding of
+    # log |b| would swamp a slope taken between close probes, and lands
+    # FLOW_TOL / 4 past its root, so the bracket closes from that side.
+    a, fa, pa, c = 0.0, -abs(t), a_zero, min(abs(t), 1.0)
+    fc, pc = f(c)
+    while fc < 0:
+        if c >= reach:
             raise DomainError("flow target not bracketed within the sampled arc")
-        nxt = c - fc * (c - a) / (fc - fa) + 0.25 if fc > fa else 2.0 * c
-        a, fa, c = c, fc, min(nxt, 2.0 * c, 119.0)
+        nxt = min(c - fc * c / (fc + abs(t)) if fc > -abs(t) else 2.0 * c, reach)
+        a, fa, pa, c = c, fc, pc, min(nxt + inset(nxt, nxt), reach)
+        fc, pc = f(c)
     side = 0  # which end the last probe replaced: -1 for a, +1 for c
-    while abs(phi(c) - phi(a)) >= FLOW_TOL:
+    while circular_gap(pa, pc) >= FLOW_TOL:
         s = (a * fc - c * fa) / (fc - fa)
-        if not a <= s <= c:  # NaN where b is 0 or NaN at an end
+        if math.isnan(s):  # b is 0 or NaN at an end
             s = 0.5 * (a + c)
         # keep probes FLOW_TOL / 4 (in angle) inside the bracket, so that it
-        # closes from both sides once the secant sits on x_t
-        h = min(0.25 * FLOW_TOL * 2.0 ** c / speed, 0.25 * (c - a))
+        # closes from both sides once the secant sits on x_t; this also
+        # holds a secant point that rounding put just past an end
+        h = inset(s, c - a)
         s = min(max(s, a + h), c - h)
-        fs = f(s)
+        fs, ps = f(s)
         if fs < 0:
-            a, fa = s, fs
+            a, fa, pa = s, fs, ps
             if side < 0:  # Illinois: c kept twice, halve its weight
                 fc *= 0.5
             side = -1
         else:
-            c, fc = s, fs
+            c, fc, pc = s, fs, ps
             if side > 0:
                 fa *= 0.5
             side = 1
-    return BoundaryPoint.from_angle(0.5 * (phi(a) + phi(c)) % TWO_PI)
+    return BoundaryPoint.from_angle(angle(0.5 * (a + c)))

@@ -616,7 +616,11 @@ class TestFlow:
         assert orientations == {True, False}
 
     def test_flow_evaluation_count(self, octagon, sample_l2):
-        # the search takes about ten evaluations of b per flow
+        # log |b| is affine in the search's chart, so the first secant step
+        # lands just past x_t and one or two probes close the bracket:
+        # measured 3 or 4 evaluations, 682 in all over the 192 flows (mean
+        # 3.55).  Which of the two a flow takes follows the rounding of
+        # log |b| at x_t, so the mean is pinned with room for other libms.
         inner = curve_cr_fn(veronese_pair(3))
         calls = []
 
@@ -625,11 +629,15 @@ class TestFlow:
             return inner(x, y, z, t)
 
         b = CrossRatioFn(evaluator=counted, label="counted")
+        counts = []
         for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
             t = period(inner, octagon, w, y)
             calls.clear()
             flow_from_cr(b, rep, y, att, t)
-            assert len(calls) <= 24, (w, y, len(calls))
+            assert len(calls) <= 4, (w, y, len(calls))
+            counts.append(len(calls))
+        assert len(counts) == 192
+        assert np.mean(counts) <= 3.75, np.mean(counts)
 
     def test_flow_computes_its_endpoints_once(self, octagon, sample_l2,
                                               monkeypatch):
@@ -665,20 +673,58 @@ class TestFlow:
             want = flow_from_cr(plain, rep, y, att, t)
             assert got.circle_coord.hex() == want.circle_coord.hex(), (w, y)
 
+    @staticmethod
+    def classical_flow(triple, t):
+        """Angle of the classical flow by t from x0 on (x-, x0, x+): with
+        u = tan(phi / 2), x_t solves
+        (u+ - u0)(u- - u_t) / ((u+ - u_t)(u- - u0)) = e^t."""
+        um, u0, up = (np.tan(a / 2.0) for a in triple)
+        ratio = (up - u0) / (um - u0)
+        e = np.exp(t)
+        # u_t = (e u+ - ratio u-) / (e - ratio), as a homogeneous pair
+        return 2.0 * np.arctan2(e * up - ratio * um, e - ratio) % TWO_PI
+
     @pytest.mark.parametrize("triple", [(0.0, 2.0, 4.0), (4.0, 2.0, 0.0),
                                         (1.0, 5.5, 3.0)])
     def test_classical_flow_matches_closed_form(self, triple):
-        # with u = tan(phi / 2), x_t solves
-        # (u+ - u0)(u- - u_t) / ((u+ - u_t)(u- - u0)) = e^t
         x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in triple)
-        um, u0, up = (np.tan(a / 2.0) for a in triple)
-        ratio = (up - u0) / (um - u0)
         for t in (0.1, 1.0, 5.0, 20.0, -0.1, -1.0, -5.0, -20.0):
-            e = np.exp(t)
-            # u_t = (e u+ - ratio u-) / (e - ratio), as a homogeneous pair
-            exact = 2.0 * np.arctan2(e * up - ratio * um, e - ratio) % TWO_PI
+            exact = self.classical_flow(triple, t)
             got = flow_from_cr(self.b, x_minus, x_zero, x_plus, t)
             assert circular_gap(got.circle_coord, exact) < 1e-12, t
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_veronese_flow_matches_classical_closed_form(self, n):
+        # the Veronese cross ratio of Sym^(n-1) is the classical one to the
+        # power n - 1, so its flow by t is the classical flow by t / (n - 1)
+        b = veronese_pair(n)
+        for triple in [(0.0, 2.0, 4.0), (1.0, 5.5, 3.0),   # counter-, clockwise
+                       (4.0, 2.0, 0.0), (3.0, 5.5, 1.0)]:  # and mirrored
+            x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in triple)
+            for t in np.linspace(-12.0, 12.0, 49):
+                exact = self.classical_flow(triple, t / (n - 1))
+                got = flow_from_cr(b, x_minus, x_zero, x_plus, float(t))
+                assert circular_gap(got.circle_coord, exact) < 1e-12, (triple, t)
+
+    @pytest.mark.parametrize("angles", [
+        (1.0, 2.0, 1.0),              # x+ = x-
+        (1.0, 2.0, 1.0 + 5e-10),      # x+ within DEDUP_TOL of x-
+        (TWO_PI - 3e-10, 2.0, 3e-10), # the same across angle 0
+        (1.0, 3.0 + 5e-10, 3.0),      # x0 within it of x+
+        (1.0, 1.0 - 5e-10, 3.0),      # x0 within it of x-
+    ])
+    def test_degenerate_triple_rejected(self, angles):
+        # rejected before any evaluation: the chart's 2x2 solve would divide
+        # by zero on x+ = x-
+        calls = []
+        b = veronese_pair(3)
+        counted = CrossRatioFn(evaluator=lambda *q: calls.append(q) or b(*q),
+                               label=b.label)
+        x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in angles)
+        for t in (0.5, -0.5, 0.0):
+            with pytest.raises(DomainError, match="three distinct points"):
+                flow_from_cr(counted, x_minus, x_zero, x_plus, t)
+        assert calls == []
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, t):
