@@ -5,9 +5,10 @@ y != z.  The evaluators here are the classical one on RP^1 and pairing
 quotients of a limit curve and its dual.
 
 A curve pair is two separate maps on the boundary, as in the paper: the
-limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  Each side
-is computed and cached on its own, so a value of one never waits on, or
-fails with, the other.
+limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  A value
+that cannot be computed raises on its own side only, so a value of one
+never fails with the other.  A representation's pair takes xi and xi* at
+both fixed points of a word from one stacked eigen solve, cached per word.
 
 Every evaluator takes four boundary points, and also tuples of indices
 into a SampleSet with the quadruples of positions in a tuple it is needed
@@ -34,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .projlin import (
-    SpectrumError, dominant_line, normalize_rep, veronese, veronese_dual,
+    SpectrumError, dominant_lines, normalize_rep, veronese, veronese_dual,
 )
 from .surfgrp import (
     BoundaryPoint, DEDUP_TOL, GeneratorSet, GroupDataError, TWO_PI, Word,
@@ -231,10 +232,15 @@ def representation_pair(gens, rep, n):
     repelling points swap the roles.  The value at the point v . p is then
     moved by equivariance: xi(v p) = rho(v) xi(p) and
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
-    never taken: that product can be far too ill-conditioned.  xi and xi*
-    are computed apart, each cached per (word, sign), so a point costs one
-    eigenline per side asked for.  `rep` has one n x n image per generator
-    of `gens`, with finite entries, and n >= 2, checked here.
+    never taken: that product can be far too ill-conditioned.
+
+    So xi and xi* at both fixed points of c come from rho(c) and rho(c^-1):
+    the first value asked for at either point solves all four in one
+    `dominant_lines` call, cached for c and c^-1 alike.  An entry that has
+    no dominant eigenline raises its own SpectrumError on every lookup, so
+    a value of one side never fails with the other.  A moved value is
+    cached per side under (word, sign).  `rep` has one n x n image per
+    generator of `gens`, with finite entries, and n >= 2, checked here.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -244,14 +250,16 @@ def representation_pair(gens, rep, n):
     rep = GeneratorSet(mats)
     if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
+    cores = {}  # shared by both sides
 
     def side(dual):
-        cache = {}
+        moved = {}
 
         def line(p):
             if p.word is None:
                 raise DomainError("eigen-sampled curve needs a worded boundary point")
-            return _limit_line(cache, rep, dual, p.word, p.sign == "attracting")
+            return _limit_line(cores, moved, rep, dual, p.word,
+                               p.sign == "attracting")
 
         return line
 
@@ -259,27 +267,41 @@ def representation_pair(gens, rep, n):
                      label=f"rep-{n}")
 
 
-def _limit_line(cache, rep, dual, word, attracting):
+def _limit_line(cores, moved, rep, dual, word, attracting):
     """xi (or xi* when dual) of `representation_pair` at a fixed point of
-    word, cached under (word, attracting).
+    word.
 
-    Module-level rather than a closure calling itself, which would be a
-    reference cycle that keeps the cache alive after its pair is dropped.
+    `cores` maps the letters of a cyclically reduced word w to the
+    `dominant_lines` of (rho(w), rho(w^-1)^T, rho(w^-1), rho(w)^T): xi and
+    xi* at the attracting fixed point of w, then at the repelling one.  One
+    solve fills the entries of w and of w^-1, the same values in swapped
+    order.  Any other word's value is its core's moved by rho(v), cached in
+    `moved` under (word, attracting).  Module-level rather than a closure,
+    which would keep the caches alive after their pair is dropped.
     """
-    key = (word.letters, attracting)
-    got = cache.get(key)
-    if got is None:
+    lines = cores.get(word.letters)
+    if lines is None:
+        if not word.is_cyclically_reduced():
+            key = (word.letters, attracting)
+            got = moved.get(key)
+            if got is None:
+                v, c = conjugate_split(word)
+                line = _limit_line(cores, moved, rep, dual, c, attracting)
+                g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+                got = moved[key] = normalize_rep(g @ line)
+            return got
         # word products of inverses, not numerical inverses: word images
         # can be far too ill-conditioned to invert in floats
-        if word.is_cyclically_reduced():
-            m = evaluate(rep, word if attracting != dual else word.inverse())
-            got = dominant_line(m.T if dual else m)
-        else:
-            v, c = conjugate_split(word)
-            line = _limit_line(cache, rep, dual, c, attracting)
-            g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
-            got = normalize_rep(g @ line)
-        cache[key] = got
+        inverse = word.inverse()
+        m, mi = evaluate(rep, word), evaluate(rep, inverse)
+        lines = dominant_lines(np.array((m, mi.T, mi, m.T)))
+        cores[word.letters] = lines
+        cores[inverse.letters] = lines[2:] + lines[:2]
+    got = lines[dual if attracting else 2 + dual]
+    if isinstance(got, str):
+        # a new error each time: one stored and raised again would grow its
+        # traceback on every raise
+        raise SpectrumError(got)
     return got
 
 
@@ -597,6 +619,13 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     synthetic angle points; an eigen-sampled curve's evaluator raises
     DomainError at them.
 
+    The result is only as accurate as the rounding of log |b| near x+
+    allows, not FLOW_TOL: up to 3.0e-12 from the exact flow on the
+    benchmark's veronese-3 period flows, and 5e-11 to 7e-10 with
+    `veronese_pair(5)` on the triple (0, 2, 4) for t = 22..26, where the
+    pairing <xi(x+), xi*(x_t)> is small.  A probe that collapses onto x-
+    in angle, where b is exactly 0, counts as past x_t.
+
     Reach, with `veronese_pair(n)` on the triple (0, 2, 4): toward x+ the
     pairing <xi(x+), xi*(x_t)> shrinks like the distance to x+ to the power
     n - 1 and falls below PAIRING_TOL, so t >= 28 at n = 3 and t >= 27 at
@@ -638,8 +667,10 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
 
     def f(s):
         phi = angle(s)
-        pt = BoundaryPoint.from_angle(phi)
-        return sign * (float(np.log(abs(b(x_plus, x_zero, x_minus, pt)))) - t), phi
+        v = abs(b(x_plus, x_zero, x_minus, BoundaryPoint.from_angle(phi)))
+        # b is exactly 0 at a probe that collapsed onto x- in angle: log |b|
+        # is -inf there, which puts it past x_t when t < 0
+        return sign * ((float(np.log(v)) if v else -math.inf) - t), phi
 
     # f(0) = -|t| at x0, as b(x+, x0, x-, x0) = 1, with no evaluation.  Each
     # secant step out runs through (0, f(0)), as near x_t the rounding of

@@ -5,7 +5,8 @@ Everything here is small dense linear algebra (n <= ~12).  A point of
 P(R^n) or of its dual is carried as a unit vector with its first
 significant coordinate positive (`normalize_rep`).  Limit-curve values are
 eigenlines of word images, read off by the one eigen routine
-`dominant_line`.
+`dominant_lines`, one `np.linalg.eig` call over a stack of matrices;
+`dominant_line` is its one-matrix form.
 """
 
 import math
@@ -113,22 +114,41 @@ def _pow_coeffs(u, v, m):
     return np.array([math.comb(m, k) * u ** (m - k) * v ** k for k in range(m + 1)])
 
 
-def dominant_line(m):
-    """Unit representative of the eigenline of m's largest |eigenvalue|.
+def dominant_lines(stack):
+    """The eigenline of the largest |eigenvalue| of each matrix of a
+    (k, n, n) stack, from one `np.linalg.eig` call.
 
-    Raises SpectrumError when that eigenvalue is not real, or when another
-    eigenvalue has the same modulus up to a relative 1e-9: then no eigenline
-    dominates.
+    Returns a list of k entries: a matrix's unit representative, or, where
+    that eigenvalue is not real or another eigenvalue has the same modulus
+    up to a relative 1e-9 (then no eigenline dominates), the message of the
+    SpectrumError `dominant_line` raises for it.  eig solves a stack matrix
+    by matrix, so an entry has the same bytes as the matrix solved alone.
     """
-    w, v = np.linalg.eig(m)
-    mod = np.abs(w).tolist()   # n is small: plain floats are faster here
-    top = max(mod)
-    k = mod.index(top)
-    if abs(w[k].imag) > 1e-9 * top:
-        raise SpectrumError("dominant eigenvalue is not real")
-    if len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
-        raise SpectrumError("dominant eigenvalue is not simple")
-    return normalize_rep(v[:, k].real)
+    w, v = np.linalg.eig(stack)
+    out = []
+    # n is small: plain floats are faster here
+    for i, (mod, imag) in enumerate(zip(np.abs(w).tolist(), w.imag.tolist())):
+        top = max(mod)
+        k = mod.index(top)
+        if abs(imag[k]) > 1e-9 * top:
+            out.append("dominant eigenvalue is not real")
+        elif len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
+            out.append("dominant eigenvalue is not simple")
+        else:
+            out.append(normalize_rep(v[i, :, k].real))
+    return out
+
+
+def dominant_line(m):
+    """Unit representative of the eigenline of m's largest |eigenvalue|:
+    `dominant_lines` of the one matrix m.
+
+    Raises SpectrumError when that eigenvalue is not real or not simple.
+    """
+    got, = dominant_lines(np.asarray(m)[None])
+    if isinstance(got, str):
+        raise SpectrumError(got)
+    return got
 
 
 def spanning_det(vectors):

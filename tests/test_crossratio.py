@@ -12,12 +12,13 @@ from crlab.crossratio import (
     representation_pair, triple_ratio, veronese_pair,
 )
 from crlab.projlin import (
-    SpectrumError, dominant_line, sym_power_rep, veronese, veronese_dual,
+    SpectrumError, dominant_line, dominant_lines, normalize_rep, sym_power_rep,
+    veronese, veronese_dual,
 )
 from crlab.surfgrp import (
-    TWO_PI, BoundaryPoint, GroupDataError, SampleSet, Word, circular_gap,
-    enumerate_words, evaluate, fixed_points_2x2, make_generator_set,
-    sample_boundary, translate_point,
+    TWO_PI, BoundaryPoint, GeneratorSet, GroupDataError, SampleSet, Word,
+    circular_gap, conjugate_split, enumerate_words, evaluate, fixed_points_2x2,
+    make_generator_set, sample_boundary, translate_point,
 )
 
 
@@ -68,6 +69,19 @@ class TestClassical:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="angle must be finite"):
                 BoundaryPoint.from_angle(bad)
+
+
+def one_matrix_line(rep, word, attracting, dual):
+    """xi (or xi* when dual) at a fixed point of word from one word
+    product and one `dominant_line` call: the reference that
+    `representation_pair`'s stacked solve must match byte for byte."""
+    v, c = conjugate_split(word)
+    m = evaluate(rep, c if attracting != dual else c.inverse())
+    line = dominant_line(m.T if dual else m)
+    if not v.letters:
+        return line
+    g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+    return normalize_rep(g @ line)
 
 
 class TestCurveCrossRatio:
@@ -137,8 +151,13 @@ class TestCurveCrossRatio:
         pair = representation_pair(octagon, (spin,) + sym_reps[3][1:], 3)
         p = next(p for p in sample_l2.points
                  if p.word == Word.of(-1) and p.sign == "repelling")
-        with pytest.raises(SpectrumError, match="not real"):
+        with pytest.raises(SpectrumError, match="not real") as first:
             pair.xi(p)
+        # each lookup raises an error of its own: one kept and raised again
+        # would grow its traceback every time
+        with pytest.raises(SpectrumError, match="not real") as again:
+            pair.xi(p)
+        assert again.value is not first.value
         # a check raises it again for the tuple that needs the table's NaN row
         with pytest.raises(SpectrumError, match="not real"):
             check_axioms(curve_cr_fn(pair), sample_l2, 100)
@@ -150,28 +169,71 @@ class TestCurveCrossRatio:
         assert np.array_equal(xistar[i], [0.0, 0.0, 1.0])
         assert np.array_equal(pair.xistar(p), [0.0, 0.0, 1.0])
 
-    def test_each_side_costs_one_eigenline(self, octagon, sample_l2, sym_reps,
-                                           monkeypatch):
+    def test_word_class_costs_one_stacked_eig(self, octagon, sample_l2,
+                                              sym_reps, monkeypatch):
         calls = []
 
-        def counted(m):
-            calls.append(1)
-            return dominant_line(m)
+        def counted(stack):
+            calls.append(len(stack))
+            return dominant_lines(stack)
 
-        monkeypatch.setattr(crossratio, "dominant_line", counted)
+        monkeypatch.setattr(crossratio, "dominant_lines", counted)
         pair = representation_pair(octagon, sym_reps[3], 3)
         p = sample_l2.points[7]
+        assert p.word.is_cyclically_reduced()
         pair.xi(p)
-        assert len(calls) == 1
-        pair.xistar(p)
-        assert len(calls) == 2
-        # g p has the word g w g^-1: its value is xi(p) moved by rho(g)
+        assert calls == [4]
+        # xi and xi* at both fixed points of p's word, named by the word or
+        # by its inverse, come from that one solve
+        for w in (p.word, p.word.inverse()):
+            for q in octagon.fixed_points(w):
+                pair.xi(q)
+                pair.xistar(q)
+        assert calls == [4]
+        # g p has the word g w g^-1: its values are those at p moved by rho(g)
         g = next(g for g in (1, 2, 3, 4) if g not in (-p.word.letters[0],
                                                        p.word.letters[-1]))
         q = translate_point(octagon, Word.of(g), p)
         assert not q.word.is_cyclically_reduced()
         pair.xi(q)
-        assert len(calls) == 2
+        pair.xistar(q)
+        assert calls == [4]
+
+    def test_stacked_eig_matches_one_matrix_solves(
+            self, octagon, sample_l2, sample_l4, sym_reps):
+        # every xi and xi* is byte-equal to dominant_line of the one word
+        # product it stands for, and raises the same error where that does:
+        # on Sym^(n-1) of the octagon for n = 2..9, and with the rotating
+        # first generator of test_non_real_dominant_eigenvalue_raises, at
+        # every point of the L <= 4 sample (it holds those of L = 2 and 3)
+        # and at the L = 2 points moved by each generator
+        c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
+        spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
+        cases = [(n, tuple(sym_power_rep(n, m) for m in octagon.matrices))
+                 for n in range(2, 10)]
+        cases.append((3, (spin,) + sym_reps[3][1:]))
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args).tobytes()
+            except SpectrumError as e:
+                return str(e)
+
+        moved = [translate_point(octagon, Word.of(g), p)
+                 for p in sample_l2.points for g in (1, 2, 3, 4, -1, -2, -3, -4)]
+        assert not all(q.word.is_cyclically_reduced() for q in moved)
+        raised = 0
+        for n, images in cases:
+            rep = GeneratorSet(images)
+            pair = representation_pair(octagon, images, n)
+            for p in (*sample_l4.points, *moved):
+                attracting = p.sign == "attracting"
+                for dual, fn in ((False, pair.xi), (True, pair.xistar)):
+                    want = outcome(one_matrix_line, rep, p.word, attracting,
+                                   dual)
+                    assert outcome(fn, p) == want, (n, p.word, p.sign, dual)
+                    raised += isinstance(want, str)
+        assert raised > 0
 
     def test_image_shape_checked_at_construction(self, octagon, sym_reps):
         # unchecked, Sym^2 images with n = 5 build a pair whose checks fail
@@ -692,6 +754,16 @@ class TestFlow:
             exact = self.classical_flow(triple, t)
             got = flow_from_cr(self.b, x_minus, x_zero, x_plus, t)
             assert circular_gap(got.circle_coord, exact) < 1e-12, t
+
+    @pytest.mark.parametrize("triple", [(4.0, 2.0, 0.0), (1.0, 5.5, 3.0)])
+    def test_probe_on_x_minus_counts_as_past_x_t(self, triple):
+        # at t = -60 a probe collapses onto x- in angle and b is exactly 0
+        # there: that probe lies past x_t, with no divide-by-zero warning
+        # (an error under the suite's warnings policy)
+        x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in triple)
+        got = flow_from_cr(self.b, x_minus, x_zero, x_plus, -60.0)
+        exact = self.classical_flow(triple, -60.0)
+        assert circular_gap(got.circle_coord, exact) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_veronese_flow_matches_classical_closed_form(self, n):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crlab.projlin import (
-    SpectrumError, dominant_line, normalize_rep, spanning_det, sym_power_rep,
-    veronese, veronese_dual,
+    SpectrumError, dominant_line, dominant_lines, normalize_rep, spanning_det,
+    sym_power_rep, veronese, veronese_dual,
 )
 
 
@@ -252,7 +252,25 @@ class TestSymPower:
 
 
 class TestEigenSplit:
-    """`dominant_line`, the one eigen routine, on a matrix and its inverse."""
+    """`dominant_lines`, the one eigen routine, and its one-matrix form
+    `dominant_line`, on a matrix and its inverse."""
+
+    def test_stack_entries_stand_alone(self):
+        # a stack mixing real, complex and tied spectra: every entry is the
+        # line dominant_line gives, byte for byte, or its error's message
+        spin = np.diag([1.0, 1.0, 0.5])
+        spin[:2, :2] = 2.0 * rot(0.7)
+        m = sym_power_rep(3, random_sl2(np.random.default_rng(19)))
+        stack = np.array((m, spin, np.diag([2.0, -2.0, 0.25]), m.T))
+        got = dominant_lines(stack)
+        assert got[1:3] == ["dominant eigenvalue is not real",
+                            "dominant eigenvalue is not simple"]
+        for entry, mat in zip(got, stack):
+            if isinstance(entry, str):
+                with pytest.raises(SpectrumError, match=entry):
+                    dominant_line(mat)
+            else:
+                assert entry.tobytes() == dominant_line(mat).tobytes()
 
     def test_negative_dominant_eigenvalue(self):
         # the eigenline of -3 is the second axis, sign-normalized
