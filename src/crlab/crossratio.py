@@ -30,7 +30,7 @@ A failed identity shows there, not as a raised error.
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -230,17 +230,16 @@ def representation_pair(gens, rep, n):
     attracting fixed point of c the curve value is the dominant eigenline
     of rho(c) and the dual value the dominant left eigenline of rho(c^-1);
     repelling points swap the roles.  The value at the point v . p is then
-    moved by equivariance: xi(v p) = rho(v) xi(p) and
+    moved on each lookup by equivariance: xi(v p) = rho(v) xi(p) and
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
     never taken: that product can be far too ill-conditioned.
 
-    So xi and xi* at both fixed points of c come from rho(c) and rho(c^-1):
-    the first value asked for at either point solves all four in one
-    `dominant_lines` call, cached for c and c^-1 alike.  An entry that has
-    no dominant eigenline raises its own SpectrumError on every lookup, so
-    a value of one side never fails with the other.  A moved value is
-    cached per side under (word, sign).  `rep` has one n x n image per
-    generator of `gens`, with finite entries, and n >= 2, checked here.
+    The first value asked for at either fixed point of c solves xi and xi*
+    at both from rho(c) and rho(c^-1), in one `dominant_lines` call kept
+    for c and c^-1 alike: the pair's one cache (`_limit_line`).  An entry
+    with no dominant eigenline raises its own SpectrumError on every lookup,
+    so a value of one side never fails with the other.  `rep` has one n x n
+    image per generator of `gens`, with finite entries, and n >= 2, checked here.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -251,58 +250,45 @@ def representation_pair(gens, rep, n):
     if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
     cores = {}  # shared by both sides
-
-    def side(dual):
-        moved = {}
-
-        def line(p):
-            if p.word is None:
-                raise DomainError("eigen-sampled curve needs a worded boundary point")
-            return _limit_line(cores, moved, rep, dual, p.word,
-                               p.sign == "attracting")
-
-        return line
-
-    return CurvePair(n=n, xi_fn=side(False), xistar_fn=side(True),
+    return CurvePair(n=n, xi_fn=partial(_limit_line, cores, rep, False),
+                     xistar_fn=partial(_limit_line, cores, rep, True),
                      label=f"rep-{n}")
 
 
-def _limit_line(cores, moved, rep, dual, word, attracting):
-    """xi (or xi* when dual) of `representation_pair` at a fixed point of
-    word.
+def _limit_line(cores, rep, dual, p):
+    """xi (or xi* when dual) of `representation_pair` at the boundary point p.
 
     `cores` maps the letters of a cyclically reduced word w to the
     `dominant_lines` of (rho(w), rho(w^-1)^T, rho(w^-1), rho(w)^T): xi and
     xi* at the attracting fixed point of w, then at the repelling one.  One
     solve fills the entries of w and of w^-1, the same values in swapped
-    order.  Any other word's value is its core's moved by rho(v), cached in
-    `moved` under (word, attracting).  Module-level rather than a closure,
-    which would keep the caches alive after their pair is dropped.
+    order.  Any other word v c v^-1 takes its core c's line moved by
+    rho(v), computed again on each lookup.
     """
-    lines = cores.get(word.letters)
+    if p.word is None:
+        raise DomainError("eigen-sampled curve needs a worded boundary point")
+    v = None
+    lines = cores.get(p.word.letters)
     if lines is None:
-        if not word.is_cyclically_reduced():
-            key = (word.letters, attracting)
-            got = moved.get(key)
-            if got is None:
-                v, c = conjugate_split(word)
-                line = _limit_line(cores, moved, rep, dual, c, attracting)
-                g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
-                got = moved[key] = normalize_rep(g @ line)
-            return got
-        # word products of inverses, not numerical inverses: word images
-        # can be far too ill-conditioned to invert in floats
-        inverse = word.inverse()
-        m, mi = evaluate(rep, word), evaluate(rep, inverse)
-        lines = dominant_lines(np.array((m, mi.T, mi, m.T)))
-        cores[word.letters] = lines
-        cores[inverse.letters] = lines[2:] + lines[:2]
-    got = lines[dual if attracting else 2 + dual]
-    if isinstance(got, str):
+        v, c = conjugate_split(p.word)
+        lines = cores.get(c.letters)
+        if lines is None:
+            # word products of inverses, not numerical inverses: word images
+            # can be far too ill-conditioned to invert in floats
+            inverse = c.inverse()
+            m, mi = evaluate(rep, c), evaluate(rep, inverse)
+            lines = dominant_lines(np.array((m, mi.T, mi, m.T)))
+            cores[c.letters] = lines
+            cores[inverse.letters] = lines[2:] + lines[:2]
+    line = lines[dual if p.sign == "attracting" else 2 + dual]
+    if isinstance(line, str):
         # a new error each time: one stored and raised again would grow its
         # traceback on every raise
-        raise SpectrumError(got)
-    return got
+        raise SpectrumError(line)
+    if v:  # a moved point: v is not empty
+        g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+        line = normalize_rep(g @ line)
+    return line
 
 
 def curve_cr(pair, q):

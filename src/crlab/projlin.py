@@ -17,7 +17,7 @@ _SIG = 1e-12          # threshold for "first nonzero coordinate"
 
 
 class SpectrumError(ValueError):
-    """Raised when a matrix's dominant eigenvalue is not real or not simple."""
+    """Raised for a matrix that is not finite or has no dominant eigenline."""
 
 
 def normalize_rep(v):
@@ -116,18 +116,25 @@ def _pow_coeffs(u, v, m):
 
 def dominant_lines(stack):
     """The eigenline of the largest |eigenvalue| of each matrix of a
-    (k, n, n) stack, from one `np.linalg.eig` call.
+    (k, n, n) stack, from one `np.linalg.eig` call over its finite matrices.
 
-    Returns a list of k entries: a matrix's unit representative, or, where
-    that eigenvalue is not real or another eigenvalue has the same modulus
-    up to a relative 1e-9 (then no eigenline dominates), the message of the
-    SpectrumError `dominant_line` raises for it.  eig solves a stack matrix
-    by matrix, so an entry has the same bytes as the matrix solved alone.
+    Returns a list of k entries: a matrix's unit representative, or the
+    message of the SpectrumError `dominant_line` raises for it: where the
+    matrix has a non-finite entry, where that eigenvalue is not real, or
+    where another eigenvalue has the same modulus up to a relative 1e-9
+    (then no eigenline dominates).  eig solves a stack matrix by matrix, so
+    an entry has the same bytes as the matrix solved alone.
     """
-    w, v = np.linalg.eig(stack)
-    out = []
+    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
+    w, v = np.linalg.eig(stack if all(finite) else stack[finite])
     # n is small: plain floats are faster here
-    for i, (mod, imag) in enumerate(zip(np.abs(w).tolist(), w.imag.tolist())):
+    solved = zip(np.abs(w).tolist(), w.imag.tolist(), v)
+    out = []
+    for ok in finite:
+        if not ok:
+            out.append("matrix is not finite")
+            continue
+        mod, imag, vecs = next(solved)
         top = max(mod)
         k = mod.index(top)
         if abs(imag[k]) > 1e-9 * top:
@@ -135,7 +142,7 @@ def dominant_lines(stack):
         elif len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
             out.append("dominant eigenvalue is not simple")
         else:
-            out.append(normalize_rep(v[i, :, k].real))
+            out.append(normalize_rep(vecs[:, k].real))
     return out
 
 
@@ -143,7 +150,7 @@ def dominant_line(m):
     """Unit representative of the eigenline of m's largest |eigenvalue|:
     `dominant_lines` of the one matrix m.
 
-    Raises SpectrumError when that eigenvalue is not real or not simple.
+    Raises SpectrumError with the message `dominant_lines` gives for m.
     """
     got, = dominant_lines(np.asarray(m)[None])
     if isinstance(got, str):

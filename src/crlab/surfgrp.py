@@ -353,14 +353,19 @@ def act_on_angle(m, phi):
 
 
 def fixed_points_2x2(m, word=None):
-    """Attracting and repelling boundary points of a hyperbolic 2x2 matrix."""
+    """Attracting and repelling boundary points of a hyperbolic 2x2 matrix;
+    a non-finite matrix or discriminant raises GroupDataError naming word."""
     m = np.asarray(m, float)
     if m.shape != (2, 2):
         raise GroupDataError(f"fixed points need a 2 x 2 matrix, not {m.shape}")
+    if not np.isfinite(m).all():
+        raise GroupDataError(f"element has non-finite entries: word {word}")
     tr = m[0, 0] + m[1, 1]
     if tr < 0:  # PSL normalization
         m, tr = -m, -tr
     disc = tr * tr - 4.0 * np.linalg.det(m)
+    if not math.isfinite(disc):
+        raise GroupDataError(f"element's discriminant is not finite: word {word}")
     if disc <= HYPERBOLIC_TOL ** 2:
         raise GroupDataError(
             f"element is not hyperbolic (trace {tr!r}): word {word}"

@@ -169,6 +169,22 @@ class TestCurveCrossRatio:
         assert np.array_equal(xistar[i], [0.0, 0.0, 1.0])
         assert np.array_equal(pair.xistar(p), [0.0, 0.0, 1.0])
 
+    def test_overflowing_word_fails_on_its_own_side(self, octagon, sym_reps):
+        # generator 1 mapped to diag(1e200, 2, 1): rho(a.a) overflows to inf,
+        # while rho(a'.a') = diag(0, 1/4, 1) is finite.  Only the two values
+        # that stand for rho(a.a) raise, as a SpectrumError; the other two
+        # are the dominant lines of rho(a'.a') and of its transpose
+        images = (np.diag([1e200, 2.0, 1.0]),) + sym_reps[3][1:]
+        pair = representation_pair(octagon, images, 3)
+        att, rep = octagon.fixed_points(Word.of(1, 1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(SpectrumError, match="matrix is not finite"):
+                pair.xi(att)
+        with pytest.raises(SpectrumError, match="matrix is not finite"):
+            pair.xistar(rep)
+        assert np.array_equal(pair.xistar(att), [0.0, 0.0, 1.0])
+        assert np.array_equal(pair.xi(rep), [0.0, 0.0, 1.0])
+
     def test_word_class_costs_one_stacked_eig(self, octagon, sample_l2,
                                               sym_reps, monkeypatch):
         calls = []

@@ -272,6 +272,22 @@ class TestEigenSplit:
             else:
                 assert entry.tobytes() == dominant_line(mat).tobytes()
 
+    def test_non_finite_matrices_are_error_entries(self):
+        # a stack mixing finite and non-finite matrices: eig, which rejects
+        # a whole stack with one inf or NaN in it, sees the finite ones only,
+        # and each of those is still the line dominant_line gives alone
+        m = sym_power_rep(3, random_hyperbolic(np.random.default_rng(23)))
+        big = np.diag([np.inf, 2.0, 1.0])
+        stack = np.array((m, big, m.T, np.full((3, 3), np.nan)))
+        got = dominant_lines(stack)
+        assert got[1] == got[3] == "matrix is not finite"
+        for i in (0, 2):
+            assert got[i].tobytes() == dominant_line(stack[i]).tobytes()
+        with pytest.raises(SpectrumError, match="matrix is not finite"):
+            dominant_line(big)
+        # no finite matrix: nothing is solved
+        assert dominant_lines(stack[[1, 3]]) == ["matrix is not finite"] * 2
+
     def test_negative_dominant_eigenvalue(self):
         # the eigenline of -3 is the second axis, sign-normalized
         got = dominant_line(np.diag([1.0, -3.0, 0.5]))

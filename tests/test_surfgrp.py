@@ -267,6 +267,14 @@ class TestFixedPoints:
         with pytest.raises(GroupDataError, match="2 x 2 matrix"):
             rep.fixed_points(Word.of(1))
 
+    def test_non_finite_element_named(self):
+        # entries that are not finite are rejected before any arithmetic, so
+        # no floating-point warning is emitted on them either
+        w = Word.of(1, 1)
+        for m in (np.diag([np.inf, 0.0]), np.full((2, 2), np.nan)):
+            with pytest.raises(GroupDataError, match=r"non-finite entries: word a\.a$"):
+                fixed_points_2x2(m, word=w)
+
     def test_equivariance_of_conjugates(self):
         g = octagon_fuchsian()
         w = Word.of(1, 2)
@@ -390,7 +398,8 @@ class TestSampleBoundary:
         mats = (np.diag([1e100, 1e-100]), np.diag([2.0, 0.5]))
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(evaluate(GeneratorSet(mats), Word.of(1, 1, 1, 1))).all()
-            with pytest.raises(ValueError, match="zero or non-finite") as exc:
+            with pytest.raises(ValueError,
+                               match=r"discriminant is not finite: word a'\.a'$") as exc:
                 sample_boundary(GeneratorSet(mats), 4)
             assert (exc.type, str(exc.value)) == self.loop_error(mats, 4)
         with np.errstate(all="raise"):
