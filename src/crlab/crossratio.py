@@ -8,7 +8,9 @@ A curve pair is two separate maps on the boundary, as in the paper: the
 limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  A value
 that cannot be computed raises on its own side only, so a value of one
 never fails with the other.  A representation's pair takes xi and xi* at
-both fixed points of a word from one stacked eigen solve, cached per word.
+both fixed points of every cyclically reduced word of a conjugacy class
+(the rotations of a word and of its inverse) from one stacked eigen solve,
+cached per word.
 
 Every evaluator takes four boundary points, and also tuples of indices
 into a SampleSet with the quadruples of positions in a tuple it is needed
@@ -234,12 +236,16 @@ def representation_pair(gens, rep, n):
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
     never taken: that product can be far too ill-conditioned.
 
-    The first value asked for at either fixed point of c solves xi and xi*
-    at both from rho(c) and rho(c^-1), in one `dominant_lines` call kept
-    for c and c^-1 alike: the pair's one cache (`_limit_line`).  An entry
-    with no dominant eigenline raises its own SpectrumError on every lookup,
-    so a value of one side never fails with the other.  `rep` has one n x n
-    image per generator of `gens`, with finite entries, and n >= 2, checked here.
+    The first value asked for at a fixed point of c, or of any other
+    cyclically reduced word conjugate to c or c^-1 (the rotations of c and
+    of c^-1), solves xi and xi* at both fixed points of all of them, from
+    rho(r) and rho(r^-1) of every distinct rotation r of c, in one
+    `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
+    length m, fewer for a proper power.  Its values are kept for each r and
+    r^-1: the pair's one cache (`_limit_line`).  An entry with no dominant
+    eigenline raises its own SpectrumError on every lookup, so a value of
+    one side never fails with the other.  `rep` has one n x n image per
+    generator of `gens`, with finite entries, and n >= 2, checked here.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -260,10 +266,11 @@ def _limit_line(cores, rep, dual, p):
 
     `cores` maps the letters of a cyclically reduced word w to the
     `dominant_lines` of (rho(w), rho(w^-1)^T, rho(w^-1), rho(w)^T): xi and
-    xi* at the attracting fixed point of w, then at the repelling one.  One
-    solve fills the entries of w and of w^-1, the same values in swapped
-    order.  Any other word v c v^-1 takes its core c's line moved by
-    rho(v), computed again on each lookup.
+    xi* at the attracting fixed point of w, then at the repelling one.  A
+    miss of a core c solves the four matrices of every distinct rotation r
+    of c in one stack and fills the entries of each r and of r^-1, the same
+    values in swapped order.  Any other word v c v^-1 takes its core c's
+    line moved by rho(v), computed again on each lookup.
     """
     if p.word is None:
         raise DomainError("eigen-sampled curve needs a worded boundary point")
@@ -273,13 +280,24 @@ def _limit_line(cores, rep, dual, p):
         v, c = conjugate_split(p.word)
         lines = cores.get(c.letters)
         if lines is None:
+            ls = c.letters  # () is the one rotation of the empty word
+            rotations = [Word(r) for r in dict.fromkeys(
+                ls[i:] + ls[:i] for i in range(len(ls) or 1))]
+            stack = []
             # word products of inverses, not numerical inverses: word images
-            # can be far too ill-conditioned to invert in floats
-            inverse = c.inverse()
-            m, mi = evaluate(rep, c), evaluate(rep, inverse)
-            lines = dominant_lines(np.array((m, mi.T, mi, m.T)))
-            cores[c.letters] = lines
-            cores[inverse.letters] = lines[2:] + lines[:2]
+            # can be far too ill-conditioned to invert in floats.  A rotation
+            # nobody asked for may overflow; that shows as its own entries'
+            # "matrix is not finite", not as a warning to whoever asked
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r in rotations:
+                    m, mi = evaluate(rep, r), evaluate(rep, r.inverse())
+                    stack += (m, mi.T, mi, m.T)
+            solved = dominant_lines(np.array(stack))
+            for k, r in enumerate(rotations):
+                got = solved[4 * k:4 * k + 4]
+                cores[r.letters] = got
+                cores[r.inverse().letters] = got[2:] + got[:2]
+            lines = cores[ls]
     line = lines[dual if p.sign == "attracting" else 2 + dual]
     if isinstance(line, str):
         # a new error each time: one stored and raised again would grow its
@@ -622,7 +640,7 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     DEDUP_TOL apart, raise DomainError before b is evaluated.
     """
     if not np.isfinite(t):
-        raise DomainError(f"flow time must be finite, got {t!r}")
+        raise DomainError(f"flow time must be finite, got {float(t)!r}")
     a_minus, a_zero, a_plus = (p.circle_coord for p in (x_minus, x_zero, x_plus))
     if min(circular_gap(a_plus, a_minus), circular_gap(a_zero, a_plus),
            circular_gap(a_zero, a_minus)) <= DEDUP_TOL:

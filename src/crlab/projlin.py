@@ -5,8 +5,9 @@ Everything here is small dense linear algebra (n <= ~12).  A point of
 P(R^n) or of its dual is carried as a unit vector with its first
 significant coordinate positive (`normalize_rep`).  Limit-curve values are
 eigenlines of word images, read off by the one eigen routine
-`dominant_lines`, one `np.linalg.eig` call over a stack of matrices;
-`dominant_line` is its one-matrix form.
+`dominant_lines`, one `np.linalg.eig` call over a stack of matrices (a
+representation's curve pair stacks four per rotation of a word, a whole
+conjugacy class in one call); `dominant_line` is its one-matrix form.
 """
 
 import math
@@ -95,7 +96,7 @@ def sym_power_rep(n, a):
         raise ValueError("matrix has non-finite entries")
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     if abs(det - 1.0) > 1e-12:
-        raise ValueError(f"matrix is not unimodular: det = {det!r}")
+        raise ValueError(f"matrix is not unimodular: det = {float(det)!r}")
     m = n - 1
     s = np.zeros((n, n))
     for i in range(n):

@@ -151,7 +151,7 @@ def make_generator_set(matrices):
     for i, m in enumerate(gens.matrices):
         det = np.linalg.det(m)
         if abs(det - 1.0) > 1e-12:
-            raise GroupDataError(f"generator {i} has det {det!r}, expected 1")
+            raise GroupDataError(f"generator {i} has det {float(det)!r}, expected 1")
     if gens.rank != 4:
         raise GroupDataError("genus-2 presentation needs 4 generators")
     r = evaluate(gens, Word(GENUS2_RELATOR))
@@ -326,7 +326,7 @@ class BoundaryPoint:
     @staticmethod
     def from_angle(phi):
         if not math.isfinite(phi):  # inf % 2 pi would be NaN
-            raise ValueError(f"boundary angle must be finite, got {phi!r}")
+            raise ValueError(f"boundary angle must be finite, got {float(phi)!r}")
         phi = float(phi) % TWO_PI
         return BoundaryPoint(
             word=None, sign="synthetic", circle_coord=phi, line=line_of_angle(phi)
@@ -368,7 +368,7 @@ def fixed_points_2x2(m, word=None):
         raise GroupDataError(f"element's discriminant is not finite: word {word}")
     if disc <= HYPERBOLIC_TOL ** 2:
         raise GroupDataError(
-            f"element is not hyperbolic (trace {tr!r}): word {word}"
+            f"element is not hyperbolic (trace {float(tr)!r}): word {word}"
         )
     lam_plus = 0.5 * (tr + np.sqrt(disc))
     lam_minus = 0.5 * (tr - np.sqrt(disc))

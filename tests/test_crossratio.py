@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -177,13 +178,36 @@ class TestCurveCrossRatio:
         images = (np.diag([1e200, 2.0, 1.0]),) + sym_reps[3][1:]
         pair = representation_pair(octagon, images, 3)
         att, rep = octagon.fixed_points(Word.of(1, 1))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(SpectrumError, match="matrix is not finite"):
-                pair.xi(att)
+        with pytest.raises(SpectrumError, match="matrix is not finite"):
+            pair.xi(att)
         with pytest.raises(SpectrumError, match="matrix is not finite"):
             pair.xistar(rep)
         assert np.array_equal(pair.xistar(att), [0.0, 0.0, 1.0])
         assert np.array_equal(pair.xi(rep), [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("first", range(3))
+    def test_overflowing_rotation_fails_only_itself(self, octagon, sym_reps,
+                                                    first):
+        # a = diag(1e200, 1, 1e-200) and b, which swaps e1 and e3 and
+        # negates e2: rho(a.b.a) = b is finite, while rho(a.a.b) and
+        # rho(b.a.a) overflow.  Whichever rotation is asked for first, each
+        # gets its own outcome at both fixed points, and the overflow of a
+        # rotation nobody asked for emits no warning
+        a = np.diag([1e200, 1.0, 1e-200])
+        b = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+        pair = representation_pair(octagon, (a, b) + sym_reps[3][2:], 3)
+        want = {(1, 2, 1): "dominant eigenvalue is not simple",
+                (2, 1, 1): "matrix is not finite",
+                (1, 1, 2): "matrix is not finite"}
+        words = list(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w in words[first:] + words[:first]:
+                for p in octagon.fixed_points(Word(w)):
+                    for fn in (pair.xi, pair.xistar):
+                        with pytest.raises(SpectrumError) as err:
+                            fn(p)
+                        assert str(err.value) == want[w], (w, p.sign)
 
     def test_word_class_costs_one_stacked_eig(self, octagon, sample_l2,
                                               sym_reps, monkeypatch):
@@ -196,24 +220,56 @@ class TestCurveCrossRatio:
         monkeypatch.setattr(crossratio, "dominant_lines", counted)
         pair = representation_pair(octagon, sym_reps[3], 3)
         p = sample_l2.points[7]
+        ls = p.word.letters
         assert p.word.is_cyclically_reduced()
+        rotations = {ls[i:] + ls[:i] for i in range(len(ls))}
+        assert len(rotations) > 1
         pair.xi(p)
-        assert calls == [4]
-        # xi and xi* at both fixed points of p's word, named by the word or
-        # by its inverse, come from that one solve
-        for w in (p.word, p.word.inverse()):
-            for q in octagon.fixed_points(w):
-                pair.xi(q)
-                pair.xistar(q)
-        assert calls == [4]
+        assert calls == [4 * len(rotations)]
+        # xi and xi* at both fixed points of every rotation of p's word,
+        # named by the rotation or by its inverse, come from that one solve
+        for r in rotations:
+            for w in (Word(r), Word(r).inverse()):
+                for q in octagon.fixed_points(w):
+                    pair.xi(q)
+                    pair.xistar(q)
+        assert len(calls) == 1
         # g p has the word g w g^-1: its values are those at p moved by rho(g)
-        g = next(g for g in (1, 2, 3, 4) if g not in (-p.word.letters[0],
-                                                       p.word.letters[-1]))
+        g = next(g for g in (1, 2, 3, 4) if g not in (-ls[0], ls[-1]))
         q = translate_point(octagon, Word.of(g), p)
         assert not q.word.is_cyclically_reduced()
         pair.xi(q)
         pair.xistar(q)
-        assert calls == [4]
+        assert len(calls) == 1
+        # a proper power has one distinct rotation: a.a costs one stack of 4
+        for q in octagon.fixed_points(Word.of(1, 1)):
+            pair.xi(q)
+            pair.xistar(q)
+        assert calls[1:] == [4]
+
+    def test_one_stacked_eig_per_conjugacy_class(self, octagon, sample_l3,
+                                                 sym_reps, monkeypatch):
+        # the class of a cyclically reduced u is the rotations of u and of
+        # u^-1: the L = 3 sample costs one dominant_lines call per class
+        # among its words, with four matrices per rotation of u
+        calls = []
+
+        def counted(stack):
+            calls.append(len(stack))
+            return dominant_lines(stack)
+
+        monkeypatch.setattr(crossratio, "dominant_lines", counted)
+        pair = representation_pair(octagon, sym_reps[3], 3)
+        classes = set()
+        for p in sample_l3.points:
+            pair.xi(p)
+            pair.xistar(p)
+            ls = conjugate_split(p.word)[1].letters
+            inv = Word(ls).inverse().letters
+            classes.add(frozenset(w[i:] + w[:i] for w in (ls, inv)
+                                  for i in range(len(ls))))
+        assert len(calls) == len(classes) < len(sample_l3.points) / 2
+        assert sum(calls) == sum(2 * len(k) for k in classes)
 
     def test_stacked_eig_matches_one_matrix_solves(
             self, octagon, sample_l2, sample_l4, sym_reps):

@@ -3,6 +3,9 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import crlab
 from crlab import crossratio, projlin, surfgrp
 
@@ -174,3 +177,25 @@ def test_tracer_targets_exist():
         if not callable(obj):
             missing.append(target)
     assert targets and not missing, missing
+
+
+def test_error_messages_print_plain_numbers():
+    # under numpy 2 a numpy scalar's repr reads np.float64(2.0): a message
+    # names the number itself
+    g = surfgrp.octagon_fuchsian()
+    pts = [surfgrp.BoundaryPoint.from_angle(a) for a in (0.0, 2.0, 4.0)]
+    cases = [
+        (lambda: surfgrp.fixed_points_2x2(np.array([[0.25, -1.0], [1.0, 0.25]])),
+         "trace 0.5"),
+        (lambda: surfgrp.make_generator_set((np.diag([2.0, 1.0]),) + g.matrices[1:]),
+         "det 2.0"),
+        (lambda: projlin.sym_power_rep(3, np.diag([2.0, 1.0])), "det = 2.0"),
+        (lambda: surfgrp.BoundaryPoint.from_angle(np.float64(np.nan)), "got nan"),
+        (lambda: crossratio.flow_from_cr(crossratio.classical_cr_fn(), *pts,
+                                         np.float64(np.inf)), "got inf"),
+    ]
+    for raises, number in cases:
+        with pytest.raises(ValueError) as err:
+            raises()
+        msg = str(err.value)
+        assert number in msg and "np." not in msg, msg
