@@ -23,8 +23,9 @@ each quadruple's quotient from them; a quadruple the gather cannot
 evaluate goes to `curve_cr`, which raises its error.  A `CrossRatioFn`, a
 cross ratio given as a point function, loops over the tuples.  The
 sample-set checks share one routine (`_drive`): it draws all seeded index
-tuples first, DEFAULT_MIN_GAP apart, and evaluates b on every quadruple
-they need in one batched call.  Every check reduces through `_report` to
+tuples first, uniform over the tuples of points DEFAULT_MIN_GAP apart, by
+rejection (`draw_indices`), and evaluates b on every quadruple they need
+in one batched call.  Every check reduces through `_report` to
 one schema: per identity the worst violation and its witness
 (`per_identity`, `argmax`), their maximum, and `passed` against CHECK_TOL.
 A failed identity shows there, not as a raised error.
@@ -270,7 +271,8 @@ def _limit_line(cores, rep, dual, p):
     miss of a core c solves the four matrices of every distinct rotation r
     of c in one stack and fills the entries of each r and of r^-1, the same
     values in swapped order.  Any other word v c v^-1 takes its core c's
-    line moved by rho(v), computed again on each lookup.
+    line moved by rho(v), computed again on each lookup; a moved line that
+    over- or underflows raises SpectrumError.
     """
     if p.word is None:
         raise DomainError("eigen-sampled curve needs a worded boundary point")
@@ -304,8 +306,12 @@ def _limit_line(cores, rep, dual, p):
         # traceback on every raise
         raise SpectrumError(line)
     if v:  # a moved point: v is not empty
-        g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
-        line = normalize_rep(g @ line)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+            try:
+                line = normalize_rep(g @ line)
+            except ValueError:  # over- or underflowed: no line to normalize
+                raise SpectrumError("moved value is zero or not finite") from None
     return line
 
 
@@ -345,21 +351,15 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     """count rows of k distinct indices into sample.points whose points lie
     pairwise more than min_gap apart on the circle.
 
-    Each candidate is the row `rng.choice(n, size=k, replace=False)` would
-    return, drawn from the same stream, and kept or rejected on its own.
-    That call runs Floyd's algorithm, k bounded draws in [0, m] for
-    m = n-k .. n-1 where step s takes n-k+s if its draw is already taken,
-    and then shuffles the row with k-1 bounded draws in [0, m] for
-    m = k-1 .. 1.  Here a whole batch of candidates comes from one
-    `rng.integers` call with those bounds, which consumes the stream
-    exactly as the choice calls would.  A row whose k Floyd draws are
-    distinct replaces none of them, so it is its draws as they came; only
-    a row with a repeated draw replays Floyd's steps.  Each shuffle step then
-    swaps one column with the drawn position of every row.  numpy shuffles
-    a tail instead when n > 10,000 and k > n // 50; there the rows differ
-    from `rng.choice`'s, though the draw is still uniform.
+    A rejection sampler: each candidate is k indices drawn uniformly with
+    replacement, and it is kept when every two of its points lie more than
+    min_gap apart.  A repeated index is two points 0 apart, so that one
+    test also rejects it, and the rows are uniform over the ordered tuples
+    of separated points.  min_gap must be at least 0.
 
-    The gaps of a batch are tested at once.  A batch holds no more
+    A whole batch of candidates comes from one `rng.integers` call with one
+    bound per column, which consumes the stream as one call per candidate
+    would, and its gaps are tested at once.  A batch holds no more
     candidates than the rows still missing or the rejections left before
     DRAW_TRIES in a row give up, so a one-at-a-time rejection loop would
     draw all of them too: rng ends where count calls of draw_points leave
@@ -371,25 +371,17 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
         raise DomainError(f"tuple size and count must be at least 1: {k}, {count}")
     if n < k:
         raise DomainError(f"sample set too small: {n} < {k}")
+    if not min_gap >= 0:  # also NaN: a negative gap would keep repeated indices
+        raise DomainError(f"min_gap must be at least 0, got {float(min_gap)!r}")
     angles = sample.angles()
     r = np.arange(k)
     i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), at a fifth the cost
-    highs = np.array([*range(n - k, n), *range(k - 1, 0, -1)])
+    bounds = np.full(k, n)
     out = np.empty((count, k), dtype=np.intp)
     filled, run = 0, 0  # run: rejections since the last kept candidate
     while filled < count:
-        size = (min(count - filled, DRAW_TRIES - run), 2 * k - 1)
-        u = rng.integers(0, highs, size=size, endpoint=True)
-        cand = u[:, :k].astype(np.intp)
-        for r in np.flatnonzero((u[:, i] == u[:, j]).any(axis=1)):
-            row = []  # Floyd's step s draws in [0, n-k+s]
-            for s, drawn in enumerate(u[r, :k].tolist()):
-                row.append(n - k + s if drawn in row else drawn)
-            cand[r] = row
-        rows = np.arange(len(u))
-        for m in range(k - 1, 0, -1):  # the shuffle, as numpy runs it
-            p = u[:, 2 * k - 1 - m]
-            cand[:, m], cand[rows, p] = cand[rows, p], cand[:, m].copy()
+        size = (min(count - filled, DRAW_TRIES - run), k)
+        cand = rng.integers(0, bounds, size=size)
         a = angles.take(cand)
         d = np.abs(a[:, i] - a[:, j]) % TWO_PI  # circular_gap, elementwise
         kept = np.flatnonzero((np.minimum(d, TWO_PI - d) > min_gap).all(axis=1))

@@ -209,6 +209,28 @@ class TestCurveCrossRatio:
                             fn(p)
                         assert str(err.value) == want[w], (w, p.sign)
 
+    def test_overflowing_move_fails_on_its_own_side(self, octagon, sample_l2,
+                                                    sym_reps):
+        # generator 1 mapped to diag(1e200, 2, 1): the L = 2 point c'.a'
+        # moved twice by a has the word a.a.c'.a'.a'.a', and rho(a.a)
+        # overflows the moved xi to inf, while rho(a.a)^-T moves xi* to a
+        # finite line.  Only xi raises, as a SpectrumError, with no warning
+        images = (np.diag([1e200, 2.0, 1.0]),) + sym_reps[3][1:]
+        pair = representation_pair(octagon, images, 3)
+        a = Word.of(1)
+        points = [p for p in sample_l2.points if p.word.letters == (-3, -1)]
+        assert len(points) == 2  # both fixed points of c'.a'
+        for p in points:
+            q = translate_point(octagon, a, translate_point(octagon, a, p))
+            v, _ = conjugate_split(q.word)
+            assert v.letters == (1, 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SpectrumError, match="zero or not finite"):
+                    pair.xi(q)
+                moved = evaluate(GeneratorSet(images), v.inverse()).T @ pair.xistar(p)
+                assert np.array_equal(pair.xistar(q), normalize_rep(moved))
+
     def test_word_class_costs_one_stacked_eig(self, octagon, sample_l2,
                                               sym_reps, monkeypatch):
         calls = []
@@ -975,26 +997,17 @@ def outcome(check, b, sample, seed, count=100):
 
 
 def draw_points_loop(sample, rng, k, min_gap=1e-3, tries=400):
-    """The original tuple draw, one rejection loop per tuple."""
+    """A plain rejection loop per tuple: each try is one row of k indices
+    drawn with replacement, kept when its points lie pairwise more than
+    min_gap apart."""
     pts = sample.points
     for _ in range(tries):
-        idx = rng.choice(len(pts), size=k, replace=False)
-        chosen = [pts[i] for i in idx]
+        chosen = [pts[i] for i in rng.integers(len(pts), size=k).tolist()]
         if all(circular_gap(a.circle_coord, b.circle_coord) > min_gap
                for i, a in enumerate(chosen) for b in chosen[i + 1:]):
             return chosen
     raise DomainError(f"could not draw {k} points more than min_gap "
                       f"{min_gap!r} apart in {tries} tries in a row")
-
-
-def floyd_replaces(sample, k, count, min_gap, seed):
-    """Whether a draw's first batch of candidates repeats a draw in Floyd's
-    steps, so that `draw_indices` takes its n - k + s branch."""
-    n = len(sample)
-    highs = [*range(n - k, n), *range(k - 1, 0, -1)]
-    draws = np.random.default_rng(seed).integers(
-        0, highs, size=(min(count, DRAW_TRIES), 2 * k - 1), endpoint=True)
-    return any(len(set(d)) < k for d in draws[:, :k].tolist())
 
 
 def batch_sizes(sample, k, count, min_gap, seed):
@@ -1003,9 +1016,9 @@ def batch_sizes(sample, k, count, min_gap, seed):
     sizes = []
 
     class Recording:
-        def integers(self, low, high, size, endpoint):
+        def integers(self, low, high, size):
             sizes.append(int(size[0]))
-            return rng.integers(low, high, size=size, endpoint=endpoint)
+            return rng.integers(low, high, size=size)
 
     try:
         draw_indices(sample, Recording(), k, count, min_gap)
@@ -1095,40 +1108,49 @@ class TestBatchedChecks:
             # a large gap makes the draw reject and redraw
             (sample_l2, 4, 40, 1e-3, 17), (sample_l2, 5, 40, 0.4, 17),
             (sample_l2, 6, 40, 0.3, 17),
-            # DRAW_TRIES rejections in a row: k = 8 raises at every seed, k = 7
-            # at seed 1 only; its other seeds fill the last rows after runs of
-            # hundreds of rejections, one-candidate batches each
+            # DRAW_TRIES rejections in a row raise at every seed, for k = 7
+            # also because a repeated index is a wasted try (about one in
+            # three candidates on the 56 points of L = 2)
             *((sample_l2, 8, 40, 0.5, seed) for seed in range(5)),
             *((sample_l2, 7, 40, 0.55, seed) for seed in range(5)),
             # the draws of check_relation13 at its default gap
             *((sample_l3, 6, 100, 1e-3, seed) for seed in range(4)),
+            # a large sample: the 2,736 points of L = 4
+            *((sample_l4, k, 400, 1e-3, seed) for k in (4, 5) for seed in range(4)),
         ]
         # a batch ends inside a run of rejections, so the next one is cut to
         # DRAW_TRIES - run candidates while hundreds of rows are still missing
         cut = (sample_l3, 5, 2 * DRAW_TRIES, 0.3, 1)
-        # Floyd's step s takes n - k + s when its draw is already in the row:
-        # often on six points, about once in 270 rows on the 2,736 points of
-        # L = 4 at k = 5
-        six = SampleSet(points=sample_l2.points[::8][:6], group=sample_l2.group)
-        replacing = [
-            [(six, k, 20, 1e-12, seed) for k in range(1, 7) for seed in range(4)],
-            [(sample_l4, k, 400, 1e-3, seed) for k in (4, 5) for seed in range(4)],
-        ]
         raised = 0
-        for case in [*cases, cut, *replacing[0], *replacing[1]]:
+        for case in [*cases, cut]:
             want = outcome(one_at_a_time(draw_points_loop), *case)
             assert outcome(batched, *case) == want
             assert outcome(one_at_a_time(draw_points), *case) == want
             raised += isinstance(want[0], str)
-        assert raised == 6
-        # the cases do take that branch: 19 of 24 and 6 of 8 of them
-        replaced = [sum(floyd_replaces(*case) for case in group)
-                    for group in replacing]
-        assert replaced == [19, 6]
+        assert raised == 10
         # the first batch holds DRAW_TRIES candidates and leaves at least
         # count - DRAW_TRIES rows missing, so a shorter second one was cut
         first, second = batch_sizes(*cut)[:2]
         assert first == DRAW_TRIES > second
+
+    def test_draw_indices_is_uniform(self, sample_l2):
+        # on six points at min_gap 0 the rows are uniform over the 30
+        # ordered pairs of distinct indices: each count within 5 sigma
+        six = SampleSet(points=sample_l2.points[:6], group=sample_l2.group)
+        count, pairs = 30_000, 30
+        idx = draw_indices(six, np.random.default_rng(5), 2, count, 0.0)
+        assert not (idx[:, 0] == idx[:, 1]).any()
+        got = np.bincount(6 * idx[:, 0] + idx[:, 1], minlength=36)
+        want = count / pairs
+        sigma = np.sqrt(count * (1 / pairs) * (1 - 1 / pairs))
+        off_diagonal = got[~np.eye(6, dtype=bool).ravel()]
+        assert np.abs(off_diagonal - want).max() < 5 * sigma
+
+    @pytest.mark.parametrize("min_gap", [-1e-3, float("nan")])
+    def test_draw_indices_rejects_bad_gap(self, sample_l2, min_gap):
+        # a negative gap would let a repeated index through
+        with pytest.raises(DomainError, match="min_gap must be at least 0"):
+            draw_indices(sample_l2, np.random.default_rng(0), 4, 5, min_gap)
 
     def test_draw_indices_rejects_empty_tuples(self, sample_l2):
         with pytest.raises(DomainError, match="at least 1"):
