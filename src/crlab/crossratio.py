@@ -179,9 +179,10 @@ class CurvePair:
         p = np.vecdot(xi.take(idx.T[on_xi], axis=0),
                       xistar.take(idx.T[on_xistar], axis=0))  # (pairs, count)
         xy, zt, zy, xt = p[of_quads]
-        suspect = ~((np.abs(zy) > PAIRING_TOL) & (np.abs(xt) > PAIRING_TOL))
-        for r, j in zip(*np.nonzero(suspect.T)):  # tuple by tuple
-            curve_cr(self, [sample.points[i] for i in idx[r, list(quads[j])]])
+        fine = (np.abs(p) > PAIRING_TOL)[of_quads[2:]].all(axis=0)  # (z, y), (x, t)
+        if not fine.all():
+            for r, j in zip(*np.nonzero(~fine.T)):  # tuple by tuple
+                curve_cr(self, [sample.points[i] for i in idx[r, list(quads[j])]])
         return (xy * zt) / (zy * xt)
 
 
@@ -357,8 +358,14 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     test also rejects it, and the rows are uniform over the ordered tuples
     of separated points.  min_gap must be at least 0.
 
-    A whole batch of candidates comes from one `rng.integers` call with one
-    bound per column, which consumes the stream as one call per candidate
+    The two closest points of a tuple are neighbours on the circle, so only
+    k gaps are tested: between neighbours in sorted order, and, for k > 1,
+    the gap 2 pi - (last - first) across 0.  Float subtraction is monotone,
+    so this keeps exactly the candidates that the k(k - 1)/2 pairwise
+    `circular_gap`s would keep.
+
+    A whole batch of candidates comes from one `rng.integers` call with the
+    scalar bound n, which consumes the stream as one call per candidate
     would, and its gaps are tested at once.  A batch holds no more
     candidates than the rows still missing or the rejections left before
     DRAW_TRIES in a row give up, so a one-at-a-time rejection loop would
@@ -374,22 +381,20 @@ def draw_indices(sample, rng, k, count, min_gap=DEFAULT_MIN_GAP):
     if not min_gap >= 0:  # also NaN: a negative gap would keep repeated indices
         raise DomainError(f"min_gap must be at least 0, got {float(min_gap)!r}")
     angles = sample.angles()
-    r = np.arange(k)
-    i, j = np.nonzero(r[:, None] < r)  # np.triu_indices(k, 1), at a fifth the cost
-    bounds = np.full(k, n)
     out = np.empty((count, k), dtype=np.intp)
     filled, run = 0, 0  # run: rejections since the last kept candidate
     while filled < count:
-        size = (min(count - filled, DRAW_TRIES - run), k)
-        cand = rng.integers(0, bounds, size=size)
-        a = angles.take(cand)
-        d = np.abs(a[:, i] - a[:, j]) % TWO_PI  # circular_gap, elementwise
-        kept = np.flatnonzero((np.minimum(d, TWO_PI - d) > min_gap).all(axis=1))
+        cand = rng.integers(0, n, size=(min(count - filled, DRAW_TRIES - run), k))
+        a = np.sort(angles.take(cand), axis=1)
+        ok = (a[:, 1:] - a[:, :-1] > min_gap).all(axis=1)
+        if k > 1:
+            ok &= TWO_PI - (a[:, -1] - a[:, 0]) > min_gap
+        kept = np.flatnonzero(ok)
         out[filled:filled + len(kept)] = cand[kept]
         filled += len(kept)
         run = len(cand) - 1 - kept[-1] if len(kept) else run + len(cand)
         if run == DRAW_TRIES:
-            raise DomainError(f"could not draw {k} points more than min_gap "
+            raise DomainError(f"could not draw {k} of {n} points more than min_gap "
                               f"{min_gap!r} apart in {DRAW_TRIES} tries in a row")
     return out
 
@@ -430,8 +435,9 @@ def _report(check, b, viols, witness, **fields):
     that could not be evaluated fails.  Per identity the first tuple with
     the largest violation is the witness, and None when that is 0.
     """
-    v = np.array(list(viols.values()))  # every identity has one per tuple
-    v = np.where(np.isnan(v), np.inf, np.where(v > 0.0, v, 0.0))
+    v = np.array(list(viols.values()), dtype=float)  # one per identity and tuple
+    v[np.isnan(v)] = np.inf
+    v[~(v > 0.0)] = 0.0
     worsts = v.max(axis=1).tolist()
     firsts = np.argmax(v, axis=1).tolist()
     per_identity = dict(zip(viols, worsts))

@@ -1006,8 +1006,8 @@ def draw_points_loop(sample, rng, k, min_gap=1e-3, tries=400):
         if all(circular_gap(a.circle_coord, b.circle_coord) > min_gap
                for i, a in enumerate(chosen) for b in chosen[i + 1:]):
             return chosen
-    raise DomainError(f"could not draw {k} points more than min_gap "
-                      f"{min_gap!r} apart in {tries} tries in a row")
+    raise DomainError(f"could not draw {k} of {len(pts)} points more than "
+                      f"min_gap {min_gap!r} apart in {tries} tries in a row")
 
 
 def batch_sizes(sample, k, count, min_gap, seed):
@@ -1117,6 +1117,10 @@ class TestBatchedChecks:
             *((sample_l3, 6, 100, 1e-3, seed) for seed in range(4)),
             # a large sample: the 2,736 points of L = 4
             *((sample_l4, k, 400, 1e-3, seed) for k in (4, 5) for seed in range(4)),
+            # tuples as large as a rank check draws: 2(p + 1) points, 26 at
+            # p = 12
+            *((sample_l3, k, 100, 1e-3, seed) for k in (10, 20, 26)
+              for seed in range(2)),
         ]
         # a batch ends inside a run of rejections, so the next one is cut to
         # DRAW_TRIES - run candidates while hundreds of rows are still missing
@@ -1173,11 +1177,80 @@ class TestBatchedChecks:
         # check_relation12 takes no min_gap, so the message states the facts
         crowded = SampleSet(points=tuple(BoundaryPoint.from_angle(1.0 + 1e-4 * i)
                                          for i in range(8)), group=octagon)
-        want = (f"could not draw 4 points more than min_gap 0.001 apart "
+        want = (f"could not draw 4 of 8 points more than min_gap 0.001 apart "
                 f"in {DRAW_TRIES} tries in a row")
         with pytest.raises(DomainError) as exc:
             check_relation12(classical_cr_fn(), crowded, 1)
         assert str(exc.value) == want
+
+    def test_near_exhaustive_draw_names_the_sample_size(self, sample_l2):
+        # every 7th point of L = 2: 8 points far more than DEFAULT_MIN_GAP
+        # apart, so only a repeated index rejects a candidate of all 8.  One
+        # drawn with replacement is a permutation with probability 8!/8^8,
+        # about 1 in 416, and at seed 3 DRAW_TRIES candidates in a row are
+        # not: the message names the sample size, not only min_gap
+        sub = SampleSet(points=sample_l2.points[::7], group=sample_l2.group)
+        angles = sub.angles()
+        assert len(sub) == 8 and min(
+            circular_gap(a, b) for i, a in enumerate(angles)
+            for b in angles[i + 1:]) > 0.1
+        row = draw_indices(sub, np.random.default_rng(0), 8, 1)[0]
+        assert sorted(row.tolist()) == list(range(8))
+        want = (f"could not draw 8 of 8 points more than min_gap 0.001 apart "
+                f"in {DRAW_TRIES} tries in a row")
+        with pytest.raises(DomainError) as exc:
+            draw_indices(sub, np.random.default_rng(3), 8, 1)
+        assert str(exc.value) == want
+
+    def test_neighbour_gaps_keep_what_all_pairs_keep(self, sample_l3):
+        # draw_indices tests only the gaps between circle neighbours; on
+        # candidates fed to it by a scripted rng it keeps exactly the rows
+        # whose k(k - 1)/2 pairwise circular_gaps all exceed min_gap, also
+        # with min_gap equal to a gap of the candidates (a tie), points on
+        # both sides of 0 = 2 pi, repeated indices and k up to 26
+        angles = sample_l3.angles()
+        n = len(angles)
+        ends = np.r_[0:6, n - 6:n]  # the sample's points nearest 0
+        gen = np.random.default_rng(29)
+
+        def gaps(row):
+            return [circular_gap(angles[i], angles[j])
+                    for a, i in enumerate(row) for j in row[a + 1:]]
+
+        class Scripted:
+            def __init__(self, rows):
+                self.rows = list(rows)
+
+            def integers(self, low, high, size):
+                assert (low, high) == (0, n)  # one scalar bound
+                m, k = size
+                got, self.rows = self.rows[:m], self.rows[m:]
+                # past the script: a repeated index, never kept for k > 1
+                return np.array(got + [[0] * k] * (m - len(got)), dtype=np.intp)
+
+        trials = [(1, pool, gap) for pool in (ends, np.arange(n))
+                  for gap in (0.0, TWO_PI, 7.0)]
+        trials += [(int(k), pool, None) for k in gen.integers(2, 27, size=60)
+                   for pool in (ends, np.arange(n))]
+        kept_rows = raised = 0
+        for k, pool, min_gap in trials:
+            rows = gen.choice(pool, size=(50, k)).tolist()
+            if min_gap is None:  # 0, or a gap the candidates have: ties
+                row = rows[gen.integers(len(rows))]
+                pick = gen.integers(3)
+                min_gap = (0.0 if pick == 0 or len(set(row)) < k else
+                           min(gaps(row)) if pick == 1 else
+                           float(gen.choice(gaps(row))))
+            want = [row for row in rows if all(g > min_gap for g in gaps(row))]
+            if want:
+                got = draw_indices(sample_l3, Scripted(rows), k, len(want), min_gap)
+                assert got.tolist() == want
+            else:
+                with pytest.raises(DomainError, match="could not draw"):
+                    draw_indices(sample_l3, Scripted(rows), k, 1, min_gap)
+                raised += 1
+            kept_rows += len(want)
+        assert kept_rows > 1_000 and raised > 10
 
     def test_argmax_semantics(self, sample_l2):
         b = CrossRatioFn(evaluator=lambda x, y, z, t: 0.5, label="const")
