@@ -230,10 +230,10 @@ def veronese_pair(n):
 def representation_pair(gens, rep, n):
     """Limit curve and dual curve sampled from eigenlines of word matrices.
 
-    A point's word is split as v c v^-1 with c cyclically reduced.  At an
-    attracting fixed point of c the curve value is the dominant eigenline
-    of rho(c) and the dual value the dominant left eigenline of rho(c^-1);
-    repelling points swap the roles.  The value at the point v . p is then
+    A point is the attracting fixed point w+ of its word w, split as
+    v c v^-1 with c cyclically reduced.  At c+ the curve value is the
+    dominant eigenline of rho(c) and the dual value the dominant left
+    eigenline of rho(c^-1).  The value at the point v . c+ = w+ is then
     moved on each lookup by equivariance: xi(v p) = rho(v) xi(p) and
     xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
     never taken: that product can be far too ill-conditioned.
@@ -243,10 +243,10 @@ def representation_pair(gens, rep, n):
     of c^-1), solves xi and xi* at both fixed points of all of them, from
     rho(r) and rho(r^-1) of every distinct rotation r of c, in one
     `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
-    length m, fewer for a proper power.  Its values are kept for each r and
-    r^-1: the pair's one cache (`_limit_line`).  An entry with no dominant
-    eigenline raises its own SpectrumError on every lookup, so a value of
-    one side never fails with the other.  `rep` has one n x n image per
+    length m, fewer for a proper power.  Its values are kept, two for each r
+    and two for r^-1: the pair's one cache (`_limit_line`).  An entry with
+    no dominant eigenline raises its own SpectrumError on every lookup, so a
+    value of one side never fails with the other.  `rep` has one n x n image per
     generator of `gens`, with finite entries, and n >= 2, checked here.
     """
     if n < 2:
@@ -267,13 +267,12 @@ def _limit_line(cores, rep, dual, p):
     """xi (or xi* when dual) of `representation_pair` at the boundary point p.
 
     `cores` maps the letters of a cyclically reduced word w to the
-    `dominant_lines` of (rho(w), rho(w^-1)^T, rho(w^-1), rho(w)^T): xi and
-    xi* at the attracting fixed point of w, then at the repelling one.  A
-    miss of a core c solves the four matrices of every distinct rotation r
-    of c in one stack and fills the entries of each r and of r^-1, the same
-    values in swapped order.  Any other word v c v^-1 takes its core c's
-    line moved by rho(v), computed again on each lookup; a moved line that
-    over- or underflows raises SpectrumError.
+    `dominant_lines` of (rho(w), rho(w^-1)^T): xi and xi* at w+.  A miss of
+    a core c solves (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T) of every
+    distinct rotation r of c in one stack, and keeps the first two for r and
+    the last two for r^-1.  Any other word v c v^-1 takes its core c's line
+    moved by rho(v), computed again on each lookup; a moved line that over-
+    or underflows raises SpectrumError.
     """
     if p.word is None:
         raise DomainError("eigen-sampled curve needs a worded boundary point")
@@ -297,11 +296,10 @@ def _limit_line(cores, rep, dual, p):
                     stack += (m, mi.T, mi, m.T)
             solved = dominant_lines(np.array(stack))
             for k, r in enumerate(rotations):
-                got = solved[4 * k:4 * k + 4]
-                cores[r.letters] = got
-                cores[r.inverse().letters] = got[2:] + got[:2]
+                cores[r.letters] = solved[4 * k:4 * k + 2]
+                cores[r.inverse().letters] = solved[4 * k + 2:4 * k + 4]
             lines = cores[ls]
-    line = lines[dual if p.sign == "attracting" else 2 + dual]
+    line = lines[dual]
     if isinstance(line, str):
         # a new error each time: one stored and raised again would grow its
         # traceback on every raise

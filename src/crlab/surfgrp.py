@@ -132,8 +132,8 @@ class GeneratorSet:
         return self.matrices[x - 1] if x > 0 else self.inverses[-x - 1]
 
     def fixed_points(self, word):
-        """(attracting, repelling) boundary points of a word of the 2x2 base
-        group, solved once per word and kept as long as the group lives."""
+        """(w+, w-) of a word w of the 2x2 base group, labelled w and w^-1,
+        solved once per word and kept as long as the group lives."""
         got = self._fixed.get(word.letters)
         if got is None:
             got = fixed_points_2x2(evaluate(self, word), word=word)
@@ -313,24 +313,21 @@ def evaluate(gens, word):
 class BoundaryPoint:
     """A point of the boundary circle RP^1.
 
-    Sampled points carry the group word fixing them and the eigen-data sign;
-    synthetic points (angle only) have word = None.
+    A worded point is the attracting fixed point w+ of its word w; the
+    repelling one of w is (w^-1)+, labelled w^-1.  A synthetic point (angle
+    only) has word = None.
     """
 
     word: Word | None
-    sign: str                   # "attracting" | "repelling" | "synthetic"
     circle_coord: float         # phi in [0, 2 pi)
     line: np.ndarray            # unit representative of the fixed line
-    eigenvalue: float = np.nan  # base-matrix eigenvalue at this fixed point
 
     @staticmethod
     def from_angle(phi):
         if not math.isfinite(phi):  # inf % 2 pi would be NaN
             raise ValueError(f"boundary angle must be finite, got {float(phi)!r}")
         phi = float(phi) % TWO_PI
-        return BoundaryPoint(
-            word=None, sign="synthetic", circle_coord=phi, line=line_of_angle(phi)
-        )
+        return BoundaryPoint(word=None, circle_coord=phi, line=line_of_angle(phi))
 
 
 def line_of_angle(phi):
@@ -353,8 +350,9 @@ def act_on_angle(m, phi):
 
 
 def fixed_points_2x2(m, word=None):
-    """Attracting and repelling boundary points of a hyperbolic 2x2 matrix;
-    a non-finite matrix or discriminant raises GroupDataError naming word."""
+    """(w+, w-) of a hyperbolic 2x2 matrix m of word w, labelled w and w^-1
+    (both None when word is None); a non-finite matrix or discriminant
+    raises GroupDataError naming word."""
     m = np.asarray(m, float)
     if m.shape != (2, 2):
         raise GroupDataError(f"fixed points need a 2 x 2 matrix, not {m.shape}")
@@ -381,28 +379,21 @@ def fixed_points_2x2(m, word=None):
         v = r1 if math.sqrt(r1.dot(r1)) >= math.sqrt(r2.dot(r2)) else r2
         return normalize_rep(v)
 
-    out = []
-    for lam, sign in ((lam_plus, "attracting"), (lam_minus, "repelling")):
-        v = eigvec(lam)
-        out.append(BoundaryPoint(
-            word=word, sign=sign, circle_coord=angle_of_line(v),
-            line=v, eigenvalue=float(lam),
-        ))
-    return out[0], out[1]
+    inv = None if word is None else word.inverse()
+    return tuple(BoundaryPoint(word=w, circle_coord=angle_of_line(v), line=v)
+                 for w, v in ((word, eigvec(lam_plus)), (inv, eigvec(lam_minus))))
 
 
 def translate_point(gens, v_word, point):
     """Image v . p of a boundary point under the group element v.
 
-    The angle is moved by the base matrix of v itself.  A sampled point p
-    fixed by w keeps its sign and eigenvalue: v . p is the fixed point of
-    v w v^-1 of the same sign, which is the word carried.  No fixed point
-    of the conjugated word is solved for.  A synthetic point stays one.
+    The angle is moved by the base matrix of v itself.  A point w+ goes to
+    (v w v^-1)+, which is the word carried.  No fixed point of the
+    conjugated word is solved for.  A synthetic point stays one.
     """
     phi = act_on_angle(evaluate(gens, v_word), point.circle_coord)
     conj = None if point.word is None else point.word.conjugated_by(v_word)
-    return BoundaryPoint(word=conj, sign=point.sign, circle_coord=phi,
-                         line=line_of_angle(phi), eigenvalue=point.eigenvalue)
+    return BoundaryPoint(word=conj, circle_coord=phi, line=line_of_angle(phi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,12 +420,12 @@ class SampleSet:
 def _fixed_point_stack(m):
     """`fixed_points_2x2`'s steps on an (N, 2, 2) stack, with the same bytes.
 
-    Returns (lines, angles, eigenvalues, ok): lines is (N, 2, 2), the
-    attracting then the repelling unit line of each matrix, and angles and
-    eigenvalues are (N, 2) in the same order.  ok is False where
-    `fixed_points_2x2` would raise (a non-hyperbolic or non-finite matrix);
-    the values there are not meaningful, and computing them may set
-    floating-point flags, which the caller's np.errstate decides on.
+    Returns (lines, angles, ok): lines is (N, 2, 2), the attracting then
+    the repelling unit line of each matrix, and angles is (N, 2) in the same
+    order.  ok is False where `fixed_points_2x2` would raise (a
+    non-hyperbolic or non-finite matrix); the values there are not
+    meaningful, and computing them may set floating-point flags, which the
+    caller's np.errstate decides on.
     """
     tr = m[:, 0, 0] + m[:, 1, 1]
     flip = tr < 0  # PSL normalization
@@ -452,7 +443,7 @@ def _fixed_point_stack(m):
     v, _ = normalize_rows(lines)  # angle_of_line's own normalization
     theta = np.arctan2(v[..., 1], v[..., 0]) % np.pi
     ok = (disc[:, 0] > HYPERBOLIC_TOL ** 2) & ok.all(axis=1)
-    return lines, (2.0 * theta) % TWO_PI, lam, ok
+    return lines, (2.0 * theta) % TWO_PI, ok
 
 
 def sample_boundary(gens, max_len):
@@ -479,13 +470,13 @@ def sample_boundary(gens, max_len):
             mats.append(prods[cyclic])
         if not words:
             return SampleSet(points=(), group=gens)
-        lines, angles, eigs, ok = _fixed_point_stack(np.concatenate(mats))
+        lines, angles, ok = _fixed_point_stack(np.concatenate(mats))
     if not ok.all():
         w = Word(words[int(np.argmin(ok))])
         fixed_points_2x2(evaluate(gens, w), word=w)
-    # row 2i + s is word i's attracting (s = 0) or repelling (s = 1) point;
-    # by angle, then by (length, letters): the rows are in enumeration order
-    angles, lines, lam = angles.ravel(), lines.reshape(-1, 2), eigs.ravel().tolist()
+    # row 2i is w+ and row 2i + 1 is w- = (w^-1)+ for word w = words[i]; by
+    # angle, then by (length, letters): the rows are in enumeration order
+    angles, lines = angles.ravel(), lines.reshape(-1, 2)
     phi, size = angles.tolist(), [len(w) for w in words for _ in (0, 1)]
     kept = []
     for i in np.argsort(angles, kind="stable").tolist():
@@ -493,9 +484,11 @@ def sample_boundary(gens, max_len):
             kept.append(i)
         elif size[i] < size[kept[-1]]:
             kept[-1] = i
-    # wrap-around duplicate: the first point stays unless the last is shorter
+    # wrap-around duplicate: the first point stays unless the last is
+    # shorter; either way the one dropped is at an end, so the rest stay sorted
     if len(kept) > 1 and circular_gap(phi[kept[0]], phi[kept[-1]]) <= DEDUP_TOL:
-        kept[0] = min(kept[0], kept.pop(), key=size.__getitem__)
+        kept.pop(0 if size[kept[-1]] < size[kept[0]] else -1)
+    worded = (Word(words[i // 2]) for i in kept)
     return SampleSet(points=tuple(
-        BoundaryPoint(Word(words[i // 2]), ("attracting", "repelling")[i % 2],
-                      angles[i], lines[i], lam[i]) for i in kept), group=gens)
+        BoundaryPoint(w.inverse() if i % 2 else w, angles[i], lines[i])
+        for i, w in zip(kept, worded)), group=gens)

@@ -72,12 +72,12 @@ class TestClassical:
                 BoundaryPoint.from_angle(bad)
 
 
-def one_matrix_line(rep, word, attracting, dual):
-    """xi (or xi* when dual) at a fixed point of word from one word
-    product and one `dominant_line` call: the reference that
+def one_matrix_line(rep, word, dual):
+    """xi (or xi* when dual) at the attracting fixed point of word from one
+    word product and one `dominant_line` call: the reference that
     `representation_pair`'s stacked solve must match byte for byte."""
     v, c = conjugate_split(word)
-    m = evaluate(rep, c if attracting != dual else c.inverse())
+    m = evaluate(rep, c.inverse() if dual else c)
     line = dominant_line(m.T if dual else m)
     if not v.letters:
         return line
@@ -146,12 +146,11 @@ class TestCurveCrossRatio:
         # first generator mapped to a rotation by 0.7 in a plane, scaled
         # by 2 there and by 1/4 on its axis: rho(a) has dominant eigenvalues
         # 2 exp(+-0.7 i), so the curve has no value at the attracting fixed
-        # point of a, sampled as the repelling one of a^-1
+        # point of a, sampled as the repelling one of a^-1 and labelled a
         c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
         spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
         pair = representation_pair(octagon, (spin,) + sym_reps[3][1:], 3)
-        p = next(p for p in sample_l2.points
-                 if p.word == Word.of(-1) and p.sign == "repelling")
+        p = next(p for p in sample_l2.points if p.word == Word.of(1))
         with pytest.raises(SpectrumError, match="not real") as first:
             pair.xi(p)
         # each lookup raises an error of its own: one kept and raised again
@@ -207,18 +206,20 @@ class TestCurveCrossRatio:
                     for fn in (pair.xi, pair.xistar):
                         with pytest.raises(SpectrumError) as err:
                             fn(p)
-                        assert str(err.value) == want[w], (w, p.sign)
+                        assert str(err.value) == want[w], (w, p.word)
 
     def test_overflowing_move_fails_on_its_own_side(self, octagon, sample_l2,
                                                     sym_reps):
-        # generator 1 mapped to diag(1e200, 2, 1): the L = 2 point c'.a'
-        # moved twice by a has the word a.a.c'.a'.a'.a', and rho(a.a)
-        # overflows the moved xi to inf, while rho(a.a)^-T moves xi* to a
-        # finite line.  Only xi raises, as a SpectrumError, with no warning
+        # generator 1 mapped to diag(1e200, 2, 1): the L = 2 points c'.a'
+        # and a.c moved twice by a have the words a.a.c'.a'.a'.a' and
+        # a.a.a.c.a'.a', and rho(a.a) overflows the moved xi to inf, while
+        # rho(a.a)^-T moves xi* to a finite line.  Only xi raises, as a
+        # SpectrumError, with no warning
         images = (np.diag([1e200, 2.0, 1.0]),) + sym_reps[3][1:]
         pair = representation_pair(octagon, images, 3)
         a = Word.of(1)
-        points = [p for p in sample_l2.points if p.word.letters == (-3, -1)]
+        points = [p for p in sample_l2.points
+                  if p.word.letters in ((-3, -1), (1, 3))]
         assert len(points) == 2  # both fixed points of c'.a'
         for p in points:
             q = translate_point(octagon, a, translate_point(octagon, a, p))
@@ -321,11 +322,9 @@ class TestCurveCrossRatio:
             rep = GeneratorSet(images)
             pair = representation_pair(octagon, images, n)
             for p in (*sample_l4.points, *moved):
-                attracting = p.sign == "attracting"
                 for dual, fn in ((False, pair.xi), (True, pair.xistar)):
-                    want = outcome(one_matrix_line, rep, p.word, attracting,
-                                   dual)
-                    assert outcome(fn, p) == want, (n, p.word, p.sign, dual)
+                    want = outcome(one_matrix_line, rep, p.word, dual)
+                    assert outcome(fn, p) == want, (n, p.word, dual)
                     raised += isinstance(want, str)
         assert raised > 0
 
@@ -485,7 +484,7 @@ class TestPeriods:
         b = rep_cross_ratio(octagon, sym_reps, n)
         w = Word.of(1, 2)
         att, _ = fixed_points_2x2(evaluate(octagon, w), word=w)
-        lam = att.eigenvalue
+        lam = np.max(np.abs(np.linalg.eigvals(evaluate(octagon, w))))
         y = next(p for p in sample_l2.points
                  if p.word is not None and
                  circular_gap(p.circle_coord, att.circle_coord) > 0.3)

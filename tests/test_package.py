@@ -52,7 +52,6 @@ def test_settable_options_pinned():
             if param.default is not param.empty:
                 options[f"{short}.{name}.{param.name}"] = repr(param.default)
     assert options == {
-        "surfgrp.BoundaryPoint.eigenvalue": "nan",
         "surfgrp.fixed_points_2x2.word": "None",
         "crossratio.draw_indices.min_gap": "0.001",
         "crossratio.draw_points.min_gap": "0.001",

@@ -124,8 +124,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("letters", [(1, 2, 3, 4) * 3, (2, 1) * 5])
     def test_eigenvalue_matches_exact_product(self, letters):
-        # reference: the exact rational product of the float generators,
-        # whose determinants are 1 only up to rounding
+        # the larger eigenvalue of evaluate's product by the 2x2 trace
+        # formula, against that of the exact rational product of the float
+        # generators, whose determinants are 1 only up to rounding
         g = octagon_fuchsian()
         exact = np.identity(2, dtype=object)
         to_fraction = np.vectorize(Fraction, otypes=[object])
@@ -134,9 +135,10 @@ class TestEvaluate:
         tr = abs(exact.trace())
         det = exact[0, 0] * exact[1, 1] - exact[0, 1] * exact[1, 0]
         want = 0.5 * (float(tr) + np.sqrt(float(tr * tr - 4 * det)))
-        w = Word.of(*letters)
-        att, _ = fixed_points_2x2(evaluate(g, w), word=w)
-        assert abs(att.eigenvalue - want) <= 1e-13 * want
+        m = evaluate(g, Word.of(*letters))
+        tr = abs(m[0, 0] + m[1, 1])
+        got = 0.5 * (tr + np.sqrt(tr * tr - 4.0 * np.linalg.det(m)))
+        assert abs(got - want) <= 1e-13 * want
 
     def test_singular_generator_rejected(self):
         with pytest.raises(GroupDataError, match="singular"):
@@ -238,7 +240,7 @@ class TestFixedPoints:
         att, rep = fixed_points_2x2(np.diag([2.0, 0.5]))
         assert att.circle_coord == pytest.approx(0.0, abs=1e-12)
         assert rep.circle_coord == pytest.approx(np.pi, abs=1e-12)
-        assert att.eigenvalue == pytest.approx(2.0)
+        assert att.word is None and rep.word is None
 
     def test_inverse_swaps(self):
         g = octagon_fuchsian()
@@ -249,6 +251,18 @@ class TestFixedPoints:
         )
         assert circular_gap(att.circle_coord, rep_i.circle_coord) < 1e-12
         assert circular_gap(rep.circle_coord, att_i.circle_coord) < 1e-12
+        # a point is the attracting fixed point of its word: w- is (w^-1)+
+        assert (att.word, rep.word) == (w, w.inverse())
+        assert (att_i.word, rep_i.word) == (w.inverse(), w)
+
+    def test_sample_point_is_its_words_attracting_point(self, sample_l4):
+        # every sampled point is w+ of its word w, whichever of the rows of
+        # w and w^-1 the dedup kept
+        g = sample_l4.group
+        worst = max(circular_gap(p.circle_coord, fixed_points_2x2(
+            evaluate(g, p.word), word=p.word)[0].circle_coord)
+            for p in sample_l4.points)
+        assert worst <= 1e-13
 
     def test_elliptic_rejected(self):
         th = 0.4
@@ -322,6 +336,8 @@ class TestSampleBoundary:
                     # merged, and the shorter word's point kept
                     points = sample_boundary(rotated, 2).points
                     assert sorted(len(p.word) for p in points) == lengths
+                    # and the sample is still sorted by circle coordinate
+                    assert np.all(np.diff([p.circle_coord for p in points]) > 0)
         assert straddled
 
     @pytest.mark.parametrize("rotate", [False, True])
@@ -341,10 +357,10 @@ class TestSampleBoundary:
             words += [Word(level[i]) for i in cyclic]
             mats.append(prods[cyclic])
         assert words == enumerate_words(g, 4)
-        lines, angles, eigs, ok = surfgrp._fixed_point_stack(np.concatenate(mats))
+        lines, angles, ok = surfgrp._fixed_point_stack(np.concatenate(mats))
         assert ok.all()
         solved, negative = {}, 0
-        for w, line, phi, lam in zip(words, lines, angles, eigs):
+        for w, line, phi in zip(words, lines, angles):
             m = evaluate(g, w)
             negative += m[0, 0] + m[1, 1] < 0
             solved[w] = fixed_points_2x2(m, word=w)
@@ -352,17 +368,21 @@ class TestSampleBoundary:
                 assert line[s].tobytes() == want.line.tobytes(), w
                 assert type(phi[s]) is type(want.circle_coord)
                 assert phi[s].hex() == want.circle_coord.hex(), w
-                assert float(lam[s]).hex() == want.eigenvalue.hex(), w
         # the PSL sign flip runs: a trace is invariant under conjugation
         assert (len(words), negative) == (2816, 1296)
+        # a sample point w+ is the attracting row of w or the repelling row
+        # of w^-1, whichever the dedup kept, byte for byte
+        only_repelling = 0
         for p in sample_boundary(g, 4).points:
-            want = solved[p.word][p.sign == "repelling"]
-            assert (p.word, p.sign) == (want.word, want.sign)
-            assert p.line.tobytes() == want.line.tobytes(), p.word
-            assert type(p.circle_coord) is type(want.circle_coord)
-            assert p.circle_coord.hex() == want.circle_coord.hex(), p.word
-            assert type(p.eigenvalue) is type(want.eigenvalue)
-            assert p.eigenvalue.hex() == want.eigenvalue.hex(), p.word
+            att, rep = solved[p.word][0], solved[p.word.inverse()][1]
+            assert att.word == rep.word == p.word
+            same = [p.line.tobytes() == q.line.tobytes()
+                    and p.circle_coord.hex() == q.circle_coord.hex()
+                    for q in (att, rep)]
+            assert any(same), p.word
+            only_repelling += same == [False, True]
+            assert type(p.circle_coord) is type(att.circle_coord)
+        assert only_repelling > 0
 
     def test_empty_sample(self):
         s = sample_boundary(make_generator_set(octagon_fuchsian().matrices), 0)
@@ -413,10 +433,9 @@ class TestSampleBoundary:
         short = [p for p in s3.points if len(p.word) <= 2]
         assert [p.circle_coord for p in short] == list(s2.angles())
         for p, q in zip(short, s2.points):
-            assert (p.word, p.sign) == (q.word, q.sign)
+            assert p.word == q.word
             assert p.line.tobytes() == q.line.tobytes()
             assert p.circle_coord.hex() == q.circle_coord.hex()
-            assert p.eigenvalue.hex() == q.eigenvalue.hex()
 
     def test_angles_cached_read_only(self):
         s = sample_boundary(octagon_fuchsian(), 2)
@@ -431,8 +450,8 @@ class TestSampleBoundary:
         assert not part.angles().flags.writeable
 
     def test_translate_point_is_conjugation(self, monkeypatch):
-        # v . p is the fixed point of v w v^-1 of p's sign; the reference
-        # solves for it, and translate_point may not
+        # v . w+ is (v w v^-1)+; the reference solves for it, and
+        # translate_point may not
         def refuse(*args, **kwargs):
             raise AssertionError("translate_point solved a fixed point")
 
@@ -445,12 +464,9 @@ class TestSampleBoundary:
             for p in s.points:
                 q = translate_point(g, v, p)
                 conj = p.word.conjugated_by(v)
-                att, rep = fixed_points_2x2(evaluate(g, conj), word=conj)
-                want = att if p.sign == "attracting" else rep
+                want, _ = fixed_points_2x2(evaluate(g, conj), word=conj)
                 assert circular_gap(q.circle_coord, want.circle_coord) < 1e-11
-                assert q.word == conj
-                assert q.sign == p.sign
-                assert q.eigenvalue == p.eigenvalue
+                assert q.word == want.word == conj
                 np.testing.assert_array_equal(q.line, line_of_angle(q.circle_coord))
 
     def test_translate_synthetic_point_same_bytes(self):
@@ -461,10 +477,9 @@ class TestSampleBoundary:
                 q = translate_point(g, v, p)
                 want = BoundaryPoint.from_angle(
                     act_on_angle(evaluate(g, v), p.circle_coord))
-                assert q.word is None and q.sign == "synthetic"
+                assert q.word is None
                 assert float(q.circle_coord).hex() == want.circle_coord.hex()
                 assert q.line.tobytes() == want.line.tobytes()
-                assert np.isnan(q.eigenvalue)
 
     def test_circular_order_preserved_by_generators(self):
         # orientation check on triples under every generator
