@@ -1,8 +1,11 @@
 """Cross-ratio evaluators on the boundary circle and their functional checks.
 
 A cross ratio is a four-point function b(x, y, z, t) defined for x != t,
-y != z.  The evaluators here are the classical one on RP^1 and pairing
-quotients of a limit curve and its dual.
+y != z.  Every cross ratio built here is a pairing quotient of a limit
+curve and its dual, held as a `CurvePair`: the Veronese pair, which at
+n = 2 is the classical cross ratio of RP^1, a representation's pair, and
+the dual of a pair.  `classical_cr` is the classical cross ratio on
+numbers and homogeneous 2-vectors.
 
 A curve pair is two separate maps on the boundary, as in the paper: the
 limit curve xi into P(R^n) and the dual curve xi* into P(R^n*).  A value
@@ -12,23 +15,23 @@ both fixed points of every cyclically reduced word of a conjugacy class
 (the rotations of a word and of its inverse) from one stacked eigen solve,
 cached per word.
 
-Every evaluator takes four boundary points, and also tuples of indices
-into a SampleSet with the quadruples of positions in a tuple it is needed
-on (`on_indices`).  A curve pair is its own cross ratio: on four points it
-is `curve_cr`, and on a sample set it reads its `table(sample)`, two N x n
-arrays of xi and xi* at every sample point, built once per sample set.
-There it takes each distinct pairing <xi(a), xi*(b)> the quadruples of a
-tuple need once, in one vectorized dot product over all tuples, and forms
-each quadruple's quotient from them; a quadruple the gather cannot
-evaluate goes to `curve_cr`, which raises its error.  A `CrossRatioFn`, a
-cross ratio given as a point function, loops over the tuples.  The
-sample-set checks share one routine (`_drive`): it draws all seeded index
-tuples first, uniform over the tuples of points DEFAULT_MIN_GAP apart, by
-rejection (`draw_indices`), and evaluates b on every quadruple they need
-in one batched call.  Every check reduces through `_report` to
-one schema: per identity the worst violation and its witness
-(`per_identity`, `argmax`), their maximum, and `passed` against CHECK_TOL.
-A failed identity shows there, not as a raised error.
+A check takes any cross ratio with a `label` that is evaluated on four
+boundary points, and also on tuples of indices into a SampleSet with the
+quadruples of positions in a tuple it is needed on (`on_indices`).  A
+curve pair is its own cross ratio: on four points it is `curve_cr`, and
+on a sample set it reads its `table(sample)`, two N x n arrays of xi and
+xi* at every sample point, built once per sample set.  There it takes
+each distinct pairing <xi(a), xi*(b)> the quadruples of a tuple need
+once, in one vectorized dot product over all tuples, and forms each
+quadruple's quotient from them; a quadruple the gather cannot evaluate
+goes to `curve_cr`, which raises its error.  The sample-set checks share
+one routine (`_drive`): it draws all seeded index tuples first, uniform
+over the tuples of points DEFAULT_MIN_GAP apart, by rejection
+(`draw_indices`), and evaluates b on every quadruple they need in one
+batched call.  Every check reduces through `_report` to one schema: per
+identity the worst violation and its witness (`per_identity`, `argmax`),
+their maximum, and `passed` against CHECK_TOL.  A failed identity shows
+there, not as a raised error.
 """
 
 import math
@@ -55,28 +58,6 @@ CHECK_TOL = 1e-9         # a check passes when its worst violation is below this
 
 class DomainError(ValueError):
     """A quadruple outside the x != t, y != z domain, or a degenerate pairing."""
-
-
-@dataclass(eq=False)
-class CrossRatioFn:
-    """A cross ratio given as a function of four boundary points, with a
-    provenance label: the classical one, `dual_cr`, or any evaluator that is
-    not a curve pair's."""
-
-    evaluator: callable
-    label: str
-
-    def __call__(self, x, y, z, t):
-        return self.evaluator(x, y, z, t)
-
-    def on_indices(self, sample, idx, quads):
-        """b on each quadruple of `quads`, a tuple of (x, y, z, t) position
-        tuples, of each row of a (count, k) array of indices into
-        sample.points, evaluated one by one, tuple by tuple: a
-        (len(quads), count) array."""
-        pts = sample.points
-        return np.array([[self.evaluator(*(pts[row[i]] for i in q)) for q in quads]
-                         for row in idx.tolist()], float).T
 
 
 # -- classical cross ratio ----------------------------------------------------
@@ -109,15 +90,6 @@ def classical_cr(x, y, z, t):
             or abs(d2) <= PAIRING_TOL * np.linalg.norm(hz) * np.linalg.norm(hy)):
         raise DomainError("classical cross ratio needs x != t and y != z")
     return num / (d1 * d2)
-
-
-def classical_cr_fn():
-    """Classical cross ratio as a boundary-point evaluator (via line pairs)."""
-
-    def ev(x, y, z, t):
-        return classical_cr(x.line, y.line, z.line, t.line)
-
-    return CrossRatioFn(evaluator=ev, label="classical")
 
 
 # -- curves and their pairing cross ratio ------------------------------------
@@ -338,10 +310,20 @@ def curve_cr_fn(pair):
     return pair
 
 
-def dual_cr(b):
-    """The dual cross ratio b*(x,y,z,t) = b(y,x,t,z); it has the same periods."""
-    return CrossRatioFn(evaluator=lambda x, y, z, t: b(y, x, t, z),
-                        label=f"dual({b.label})")
+def dual_cr(pair):
+    """The dual cross ratio b*(x,y,z,t) = b(y,x,t,z) of a curve pair's b:
+    the pair with xi and xi* swapped.  It has the same periods.
+
+    In the paper b* is the cross ratio of the contragredient representation,
+    whose limit curve is xi* and whose dual curve is xi.  The swap is exact:
+    each pairing of b* at (x, y, z, t) is the same dot product as that of b
+    at (y, x, t, z), with its two operands in the other order, so it takes
+    the same products in the same order, and each quotient is formed from
+    the same pairings.  Where a denominator pairing is degenerate, b* names
+    the other one of the two.
+    """
+    return CurvePair(n=pair.n, xi_fn=pair.xistar_fn, xistar_fn=pair.xi_fn,
+                     label=f"dual({pair.label})")
 
 
 # -- seeded tuple streams and the shared check loop ---------------------------
@@ -472,9 +454,10 @@ def check_axioms(b, sample, count, seed=0):
     For a pairing cross ratio such as a `CurvePair`, symmetry, both
     cocycles and the unit locus hold identically in the pairings, so on
     those evaluators they measure float error only; the zero locus, xi(x)
-    in the kernel of xi*(x), carries the content.  The whole battery tests
-    evaluators that are not pairing quotients, such as `classical_cr_fn` or
-    corrupted ones.
+    in the kernel of xi*(x), carries the content.  Every cross ratio this
+    module builds is a curve pair, so the whole battery carries content
+    only on evaluators that are not pairing quotients, such as the
+    corrupted ones of the test suite.
     """
     idx, (v, swapped, zw1, zw2, wy1, wy2, zero, unit1, unit2) = _drive(
         b, sample, count, 5, _AXIOM_QUADS, seed)
@@ -503,7 +486,7 @@ def check_invariance(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
     which leaves every pairing unchanged; there the check measures float
     error only, as symmetry and the cocycles of `check_axioms` do.  It
     carries content on evaluators that are not pairing quotients, such as
-    `classical_cr_fn` or corrupted ones.
+    the corrupted ones of the test suite.
     """
     if count < 1:
         raise DomainError(f"tuple count must be at least 1, got {count}")
@@ -624,16 +607,23 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     benchmark's veronese-3 period flows, and 5e-11 to 7e-10 with
     `veronese_pair(5)` on the triple (0, 2, 4) for t = 22..26, where the
     pairing <xi(x+), xi*(x_t)> is small.  A probe that collapses onto x-
-    in angle, where b is exactly 0, counts as past x_t.
+    in angle, where b is 0 (exactly 0 for `classical_cr` of the lines, a
+    ratio of 2x2 determinants), counts as past x_t.
 
-    Reach, with `veronese_pair(n)` on the triple (0, 2, 4): toward x+ the
+    Reach, with `veronese_pair(n)`: toward x+ on the triple (0, 2, 4) the
     pairing <xi(x+), xi*(x_t)> shrinks like the distance to x+ to the power
     n - 1 and falls below PAIRING_TOL, so t >= 28 at n = 3 and t >= 27 at
     n = 5 raise "degenerate pairing".  Toward x- = 0, where angles keep
-    their digits, t = -60 at n = 3 lands within 2e-13 of the closed form.
-    The search gives up as "not bracketed" at s = 700, near where e^-s
-    leaves the normal doubles.  A non-finite t, and x-, x0, x+ that are not
-    DEDUP_TOL apart, raise DomainError before b is evaluated.
+    their digits, t = -60 at n = 3 lands within 2e-13 of the closed form,
+    and t = -70 at n = 2 and 3 within 1e-15.  Toward an x- off the axes, b
+    stops at the rounding of the pairing <xi(x-), xi*(x_t)>, which is not
+    exactly 0 where x_t collapses onto x- in angle.  On the triples
+    (4, 2, 0) and (1, 5.5, 3), n = 2 lands within 9e-16 at t = -35 and
+    raises "not bracketed" at t = -38 or -40, and n = 3 lands within 1.6e-9
+    at t = -35 and raises at t = -40 or -45.  The search gives up as "not
+    bracketed" at s = 700, near where e^-s leaves the normal doubles.  A
+    non-finite t, and x-, x0, x+ that are not DEDUP_TOL apart, raise
+    DomainError before b is evaluated.
     """
     if not np.isfinite(t):
         raise DomainError(f"flow time must be finite, got {float(t)!r}")
@@ -668,8 +658,8 @@ def flow_from_cr(b, x_minus, x_zero, x_plus, t):
     def f(s):
         phi = angle(s)
         v = abs(b(x_plus, x_zero, x_minus, BoundaryPoint.from_angle(phi)))
-        # b is exactly 0 at a probe that collapsed onto x- in angle: log |b|
-        # is -inf there, which puts it past x_t when t < 0
+        # b can be exactly 0 at a probe that collapsed onto x- in angle:
+        # log |b| is -inf there, which puts it past x_t when t < 0
         return sign * ((float(np.log(v)) if v else -math.inf) - t), phi
 
     # f(0) = -|t| at x0, as b(x+, x0, x-, x0) = 1, with no evaluation.  Each

@@ -1,4 +1,6 @@
+import inspect
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -6,11 +8,10 @@ import pytest
 
 from crlab import crossratio, surfgrp
 from crlab.crossratio import (
-    CHECK_TOL, DRAW_TRIES, CrossRatioFn, CurvePair, DomainError, check_axioms,
+    CHECK_TOL, DRAW_TRIES, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
-    classical_cr_fn, curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr,
-    embed_from_cr, flow_from_cr, period,
-    representation_pair, triple_ratio, veronese_pair,
+    curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr, embed_from_cr,
+    flow_from_cr, period, representation_pair, triple_ratio, veronese_pair,
 )
 from crlab.projlin import (
     SpectrumError, dominant_line, dominant_lines, normalize_rep, sym_power_rep,
@@ -23,9 +24,42 @@ from crlab.surfgrp import (
 )
 
 
+@dataclass(eq=False)
+class CrossRatioFn:
+    """A cross ratio given as a function of four boundary points: the
+    suite's reference, corrupted, counting and constant evaluators.  It
+    has what the checks use of a cross ratio, with an `on_indices` that
+    evaluates tuple by tuple."""
+
+    evaluator: callable
+    label: str
+
+    def __call__(self, x, y, z, t):
+        return self.evaluator(x, y, z, t)
+
+    def on_indices(self, sample, idx, quads):
+        """b on each quadruple of `quads`, a tuple of (x, y, z, t) position
+        tuples, of each row of a (count, k) array of indices into
+        sample.points, evaluated one by one, tuple by tuple: a
+        (len(quads), count) array."""
+        pts = sample.points
+        return np.array([[self.evaluator(*(pts[row[i]] for i in q)) for q in quads]
+                         for row in idx.tolist()], float).T
+
+
+def classical_cr_fn():
+    """The classical cross ratio of the points' lines, `classical_cr`: a
+    reference that is exactly 0 where two of its lines coincide, which no
+    pairing quotient is."""
+
+    def ev(x, y, z, t):
+        return classical_cr(x.line, y.line, z.line, t.line)
+
+    return CrossRatioFn(evaluator=ev, label="classical")
+
+
 def rep_cross_ratio(octagon, sym_reps, n):
-    pair = representation_pair(octagon, sym_reps[n], n)
-    return curve_cr_fn(pair)
+    return representation_pair(octagon, sym_reps[n], n)
 
 
 class TestClassical:
@@ -160,7 +194,7 @@ class TestCurveCrossRatio:
         assert again.value is not first.value
         # a check raises it again for the tuple that needs the table's NaN row
         with pytest.raises(SpectrumError, match="not real"):
-            check_axioms(curve_cr_fn(pair), sample_l2, 100)
+            check_axioms(pair, sample_l2, 100)
         i = sample_l2.points.index(p)
         xi, xistar = pair.table(sample_l2)
         assert np.all(np.isnan(xi[i]))
@@ -372,16 +406,15 @@ class TestCurveCrossRatio:
         pair = CurvePair(n=3, xi_fn=counted("xi", veronese),
                          xistar_fn=counted("xistar", veronese_dual),
                          label="counted")
-        b = curve_cr_fn(pair)
-        check_axioms(b, sample_l2, 50, seed=0)
+        check_axioms(pair, sample_l2, 50, seed=0)
         built = dict(calls)
         assert built == {"xi": len(sample_l2), "xistar": len(sample_l2)}
         table = pair.table(sample_l2)
-        check_axioms(b, sample_l2, 50, seed=1)
-        check_relation13(b, sample_l2, 50, seed=2)
+        check_axioms(pair, sample_l2, 50, seed=1)
+        check_relation13(pair, sample_l2, 50, seed=2)
         assert calls == built and pair.table(sample_l2) is table
         # another sample set gets its own table, and the first one stays
-        check_axioms(b, sample_l3, 50, seed=0)
+        check_axioms(pair, sample_l3, 50, seed=0)
         assert calls == {side: built[side] + len(sample_l3) for side in calls}
         assert pair.table(sample_l2) is table
 
@@ -736,7 +769,7 @@ class TestFlow:
 
     def test_period_recovery(self, octagon, sample_l2, sym_reps):
         # flowing by the period from y lands on the image of y
-        b = curve_cr_fn(veronese_pair(3))
+        b = veronese_pair(3)
         w = Word.of(1, 2)
         att, rep = fixed_points_2x2(evaluate(octagon, w), word=w)
         y = next(p for p in sample_l2.points
@@ -760,7 +793,7 @@ class TestFlow:
                 yield w, rep, y, att
 
     def test_period_recovery_both_orientations(self, octagon, sample_l2):
-        b = curve_cr_fn(veronese_pair(3))
+        b = veronese_pair(3)
         orientations = set()
         for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
             orientations.add(is_counter_clockwise(
@@ -776,7 +809,7 @@ class TestFlow:
         # measured 3 or 4 evaluations, 682 in all over the 192 flows (mean
         # 3.55).  Which of the two a flow takes follows the rounding of
         # log |b| at x_t, so the mean is pinned with room for other libms.
-        inner = curve_cr_fn(veronese_pair(3))
+        inner = veronese_pair(3)
         calls = []
 
         def counted(x, y, z, t):
@@ -808,12 +841,12 @@ class TestFlow:
 
         monkeypatch.setattr(crossratio, "veronese", counted(veronese))
         monkeypatch.setattr(crossratio, "veronese_dual", counted(veronese_dual))
-        plain = curve_cr_fn(CurvePair(
+        plain = CurvePair(
             n=3, xi_fn=lambda p: veronese(3, p.line),
-            xistar_fn=lambda p: veronese_dual(3, p.line), label="plain"))
+            xistar_fn=lambda p: veronese_dual(3, p.line), label="plain")
         for w, rep, y, att in self.recovery_cases(octagon, sample_l2):
             t = period(plain, octagon, w, y)
-            inner = curve_cr_fn(veronese_pair(3))
+            inner = veronese_pair(3)
             evaluations = []
 
             def counted_b(*q):
@@ -852,7 +885,12 @@ class TestFlow:
     def test_probe_on_x_minus_counts_as_past_x_t(self, triple):
         # at t = -60 a probe collapses onto x- in angle and b is exactly 0
         # there: that probe lies past x_t, with no divide-by-zero warning
-        # (an error under the suite's warnings policy)
+        # (an error under the suite's warnings policy).  b is the suite's
+        # classical evaluator, a ratio of 2x2 determinants, and not
+        # veronese_pair(2): a pairing quotient is not exactly 0 where the
+        # probe collapses onto x-, but stops at the rounding of its pairing,
+        # and on these triples its flow raises "not bracketed" from t = -38
+        # or -40 on
         x_minus, x_zero, x_plus = (BoundaryPoint.from_angle(a) for a in triple)
         got = flow_from_cr(self.b, x_minus, x_zero, x_plus, -60.0)
         exact = self.classical_flow(triple, -60.0)
@@ -895,7 +933,7 @@ class TestFlow:
     def test_non_finite_time_rejected(self, t):
         # rejected before any evaluation: a NaN target would end the search at x0
         calls = []
-        b = curve_cr_fn(veronese_pair(3))
+        b = veronese_pair(3)
         counted = CrossRatioFn(evaluator=lambda *q: calls.append(q) or b(*q),
                                label=b.label)
         with pytest.raises(DomainError, match="must be finite"):
@@ -911,7 +949,8 @@ class TestFlow:
 
 class TestDual:
     def test_classical_self_dual(self, sample_l2):
-        b = classical_cr_fn()
+        # the classical cross ratio, veronese_pair(2), is its own dual
+        b = veronese_pair(2)
         bd = dual_cr(b)
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -921,8 +960,7 @@ class TestDual:
     def test_dual_is_contragredient(self, octagon, sample_l2, sym_reps):
         b = rep_cross_ratio(octagon, sym_reps, 3)
         contra = tuple(np.linalg.inv(m).T for m in sym_reps[3])
-        b_star = curve_cr_fn(
-            representation_pair(octagon, contra, 3))
+        b_star = representation_pair(octagon, contra, 3)
         bd = dual_cr(b)
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -936,6 +974,68 @@ class TestDual:
         y = sample_l2.points[8]
         assert period(bd, octagon, w, y) == pytest.approx(
             period(b, octagon, w, y), abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["eig", "veronese"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_dual_gather_is_the_swapped_pair(self, octagon, sample_l2, sym_reps,
+                                             monkeypatch, kind, n):
+        # on the check quadruples of the L = 2 sample, the dual's gather
+        # gives the bytes of its `curve_cr` tuple by tuple, with no call to
+        # it where no pairing is degenerate, and the dual of the dual gives
+        # the pair's bytes.  Each check of the dual reports what it reports
+        # of b(y, x, t, z) evaluated by the pair, or both raise DomainError,
+        # each naming the other of the two degenerate pairings
+        pair = (representation_pair(octagon, sym_reps[n], n) if kind == "eig"
+                else veronese_pair(n))
+        dual = dual_cr(pair)
+        swapped = CrossRatioFn(lambda x, y, z, t: pair(y, x, t, z), dual.label)
+        calls = []
+        monkeypatch.setattr(crossratio, "curve_cr",
+                            lambda p, q: calls.append(q) or curve_cr(p, q))
+
+        def gathered(b, idx, quads):
+            try:
+                return b.on_indices(sample_l2, idx, quads).tobytes()
+            except DomainError as exc:
+                return str(exc)
+
+        fine = equal = 0
+        for check, k, quads in (
+                (check_axioms, 5, crossratio._AXIOM_QUADS),
+                (check_relation13, 6, crossratio._RELATION13_QUADS)):
+            for seed in range(4):
+                idx = draw_indices(sample_l2, np.random.default_rng(seed), k, 100)
+                calls.clear()
+                got = gathered(dual, idx, quads)
+                if not isinstance(got, str):
+                    assert calls == []
+                    fine += 1
+                assert got == gathered(looped(dual), idx, quads), (check, seed)
+                assert (gathered(dual_cr(dual), idx, quads)
+                        == gathered(pair, idx, quads))
+                got = outcome(check, dual, sample_l2, seed)
+                want = outcome(check, swapped, sample_l2, seed)
+                if isinstance(got, dict) or isinstance(want, dict):
+                    assert got == want, (check, seed)
+                    equal += 1
+                else:
+                    assert got[0] is want[0] is DomainError
+        assert fine and equal
+
+    def test_dual_names_the_other_degenerate_pairing(self, octagon, sample_l3,
+                                                     sym_reps):
+        # at n = 5, seed 0 draws an L = 3 tuple with a degenerate pairing.
+        # The dual's gather raises what its `curve_cr` tuple by tuple
+        # raises, and b(y, x, t, z) raises on the same pairing, which is
+        # its other denominator
+        pair = rep_cross_ratio(octagon, sym_reps, 5)
+        dual = dual_cr(pair)
+        swapped = CrossRatioFn(lambda x, y, z, t: pair(y, x, t, z), dual.label)
+        got = outcome(check_axioms, dual, sample_l3, 0)
+        assert got == (DomainError, "degenerate pairing <xi(z), xi*(y)>")
+        assert outcome(check_axioms, looped(dual), sample_l3, 0) == got
+        assert outcome(check_axioms, swapped, sample_l3, 0) == (
+            DomainError, "degenerate pairing <xi(x), xi*(t)>")
 
 
 class TestQuadrupleDomain:
@@ -960,6 +1060,19 @@ class TestCurvePairCrossRatio:
     def test_curve_cr_fn_is_the_pair(self):
         pair = veronese_pair(3)
         assert curve_cr_fn(pair) is pair
+
+    def test_curve_pair_is_the_one_protocol(self, octagon, sym_reps):
+        # every cross ratio the module builds is a curve pair, and no other
+        # class of the module evaluates tuples of sample indices
+        pair = veronese_pair(3)
+        built = (pair, representation_pair(octagon, sym_reps[3], 3),
+                 dual_cr(pair))
+        assert all(type(b) is CurvePair for b in built)
+        assert built[2].label == "dual(veronese-3)"
+        gathers = [name for name, cls in inspect.getmembers(crossratio,
+                                                             inspect.isclass)
+                   if hasattr(cls, "on_indices")]
+        assert gathers == ["CurvePair"]
 
     def test_evaluations_go_through_curve_cr(self, sample_l2, monkeypatch):
         # the benchmark's tracer counts the `crossratio.curve_cr` layer by
@@ -1070,7 +1183,7 @@ class TestBatchedChecks:
 
         fns = {"xi_fn": base.xi_fn, "xistar_fn": base.xistar_fn}
         fns[f"{side}_fn"] = fails_at(fns[f"{side}_fn"])
-        b = curve_cr_fn(CurvePair(n=3, label="broken", **fns))
+        b = CurvePair(n=3, label="broken", **fns)
         for check in (check_axioms, check_relation13):
             for seed in range(6):
                 got = outcome(check, b, sample_l2, seed)

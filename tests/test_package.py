@@ -86,9 +86,9 @@ def test_public_names_pinned():
             "translate_point",
         },
         "crossratio": {
-            "CrossRatioFn", "CurvePair", "DomainError", "check_axioms",
+            "CurvePair", "DomainError", "check_axioms",
             "check_invariance", "check_relation12", "check_relation13",
-            "classical_cr", "classical_cr_fn", "curve_cr", "curve_cr_fn",
+            "classical_cr", "curve_cr", "curve_cr_fn",
             "draw_indices", "draw_points", "dual_cr", "embed_from_cr",
             "flow_from_cr", "period", "representation_pair", "triple_ratio",
             "veronese_pair",
@@ -154,7 +154,7 @@ def test_benchmark_reads_only_report_keys(sample_l2):
                   and isinstance(node.slice, ast.Constant)
                   and isinstance(node.slice.value, str)}
     assert reads
-    b = aliases["cr"].classical_cr_fn()
+    b = aliases["cr"].veronese_pair(2)
     missing = [f"{check}: {key}" for check, key in sorted(reads)
                if key not in getattr(aliases["cr"], check)(b, sample_l2, 5)]
     assert not missing, missing
@@ -190,7 +190,7 @@ def test_error_messages_print_plain_numbers():
          "det 2.0"),
         (lambda: projlin.sym_power_rep(3, np.diag([2.0, 1.0])), "det = 2.0"),
         (lambda: surfgrp.BoundaryPoint.from_angle(np.float64(np.nan)), "got nan"),
-        (lambda: crossratio.flow_from_cr(crossratio.classical_cr_fn(), *pts,
+        (lambda: crossratio.flow_from_cr(crossratio.veronese_pair(2), *pts,
                                          np.float64(np.inf)), "got inf"),
     ]
     for raises, number in cases:
