@@ -116,11 +116,12 @@ class CurvePair:
         return self.xistar_fn(p)
 
     def table(self, sample):
-        """(xi, xi*) at every point of a SampleSet: two (N, n) arrays.
+        """(xi, xi*) at every point of a SampleSet: two read-only (N, n)
+        arrays.
 
-        Built on first use.  A value that raises DomainError, GroupDataError
-        or SpectrumError is a NaN row; `curve_cr` raises it again for a
-        tuple that needs it.
+        Built on first use and shared by every later check on the sample.
+        A value that raises DomainError, GroupDataError or SpectrumError is
+        a NaN row; `curve_cr` raises it again for a tuple that needs it.
         """
         got = self._tables.get(sample)
         if got is None:
@@ -131,6 +132,8 @@ class CurvePair:
                         arr[i] = fn(p)
                     except (DomainError, GroupDataError, SpectrumError):
                         pass
+            for arr in got:
+                arr.flags.writeable = False
             self._tables[sample] = got
         return got
 
@@ -223,10 +226,9 @@ def representation_pair(gens, rep, n):
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    mats = tuple(np.asarray(m, float) for m in rep)
-    if any(m.shape != (n, n) for m in mats):
+    if any(np.shape(m) != (n, n) for m in rep):
         raise GroupDataError(f"representation images must be {n} x {n} matrices")
-    rep = GeneratorSet(mats)
+    rep = GeneratorSet(rep)
     if rep.rank != gens.rank:
         raise GroupDataError("representation must supply one matrix per generator")
     cores = {}  # shared by both sides

@@ -7,7 +7,7 @@ significant coordinate positive (`normalize_rep`).  Limit-curve values are
 eigenlines of word images, read off by the one eigen routine
 `dominant_lines`, one `np.linalg.eig` call over a stack of matrices (a
 representation's curve pair stacks four per rotation of a word, a whole
-conjugacy class in one call); `dominant_line` is its one-matrix form.
+conjugacy class in one call; one matrix is a stack of one).
 """
 
 import math
@@ -120,11 +120,11 @@ def dominant_lines(stack):
     (k, n, n) stack, from one `np.linalg.eig` call over its finite matrices.
 
     Returns a list of k entries: a matrix's unit representative, or the
-    message of the SpectrumError `dominant_line` raises for it: where the
-    matrix has a non-finite entry, where that eigenvalue is not real, or
-    where another eigenvalue has the same modulus up to a relative 1e-9
-    (then no eigenline dominates).  eig solves a stack matrix by matrix, so
-    an entry has the same bytes as the matrix solved alone.
+    message for a SpectrumError its caller raises: where the matrix has a
+    non-finite entry, where that eigenvalue is not real, or where another
+    eigenvalue has the same modulus up to a relative 1e-9 (then no eigenline
+    dominates).  eig solves a stack matrix by matrix, so an entry has the
+    same bytes as the matrix solved alone, in a stack of one.
     """
     finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
     w, v = np.linalg.eig(stack if all(finite) else stack[finite])
@@ -145,18 +145,6 @@ def dominant_lines(stack):
         else:
             out.append(normalize_rep(vecs[:, k].real))
     return out
-
-
-def dominant_line(m):
-    """Unit representative of the eigenline of m's largest |eigenvalue|:
-    `dominant_lines` of the one matrix m.
-
-    Raises SpectrumError with the message `dominant_lines` gives for m.
-    """
-    got, = dominant_lines(np.asarray(m)[None])
-    if isinstance(got, str):
-        raise SpectrumError(got)
-    return got
 
 
 def spanning_det(vectors):

@@ -1,12 +1,15 @@
 """Genus-2 surface group data: presentation, words, boundary samples.
 
 The boundary circle is modeled as RP^1 with the coordinate phi = 2*theta,
-theta the angle of a line in R^2.  All boundary points come from fixed
-points of hyperbolic elements of the base 2x2 representation; an SL(n,R)
-representation is always carried alongside that base data.  The image of a
-word is the plain product of its letters' matrices (`evaluate`), never
-rescaled: everything read off it is projective or an eigenvalue of a
-unimodular product.
+theta the angle of a line in R^2.  A worded boundary point is the
+attracting fixed point w+ of a hyperbolic element w of the base 2x2
+representation: sampled (`sample_boundary`), solved (`fixed_points_2x2`),
+or moved by the group (`translate_point`, which carries v w v^-1 without
+solving for it).  A synthetic point has an angle only
+(`BoundaryPoint.from_angle`).  An SL(n,R) representation is always carried
+alongside the base data.  The image of a word is the plain product of its
+letters' matrices (`evaluate`), never rescaled: everything read off it is
+projective or an eigenvalue of a unimodular product.
 
 `sample_boundary` solves its words in one stacked pass: it walks the word
 tree by length, forms each product from its parent prefix's with one
@@ -54,14 +57,6 @@ class Word:
     def __mul__(self, other):
         return Word(free_reduce(self.letters + other.letters))
 
-    def conjugated_by(self, v):
-        """v * self * v^-1."""
-        return v * self * v.inverse()
-
-    def is_cyclically_reduced(self):
-        ls = self.letters
-        return len(ls) == 0 or ls[0] != -ls[-1]
-
     def __str__(self):
         if not self.letters:
             return "1"
@@ -97,31 +92,37 @@ class GeneratorSet:
     """Generator matrices of the genus-2 surface group, or their images.
 
     The base group has 2x2 unimodular matrices; the images of a
-    representation use the same type with n x n matrices.  The inverses are
-    computed once here, so that word products only multiply.  An empty set,
-    matrices that are not square or not all of one shape, and non-finite
-    entries are rejected first: LAPACK inverts a NaN matrix without error.
+    representation use the same type with n x n matrices.  The matrices
+    given, arrays or nested sequences, are copied to float arrays and frozen
+    with the inverses computed from them, so no caller's later write reaches
+    the group and word products only multiply.  An empty set, matrices that
+    are not square or not all of one shape, and non-finite entries are
+    rejected first: LAPACK inverts a NaN matrix without error.
     """
 
-    matrices: tuple          # tuple of square float arrays
+    matrices: tuple          # tuple of square float arrays, read-only
     inverses: tuple = field(init=False, repr=False)
     _fixed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.matrices) == 0:
+        mats = tuple(np.array(m, dtype=float) for m in self.matrices)
+        if not mats:
             raise GroupDataError("a generator set needs at least one matrix")
-        shapes = [np.shape(m) for m in self.matrices]
+        shapes = [m.shape for m in mats]
         for i, s in enumerate(shapes):
             if len(s) != 2 or s[0] != s[1] or s != shapes[0]:
                 raise GroupDataError(f"generator {i} has shape {s}: generators "
                                      "must be square matrices of one shape")
-        for i, m in enumerate(self.matrices):
+        for i, m in enumerate(mats):
             if not np.isfinite(m).all():
                 raise GroupDataError(f"generator {i} has non-finite entries")
         try:
-            inverses = tuple(np.linalg.inv(m) for m in self.matrices)
+            inverses = tuple(np.linalg.inv(m) for m in mats)
         except np.linalg.LinAlgError as exc:
             raise GroupDataError(f"singular generator matrix: {exc}") from exc
+        for m in mats + inverses:
+            m.flags.writeable = False
+        object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "inverses", inverses)
 
     @property
@@ -144,7 +145,7 @@ class GeneratorSet:
 def make_generator_set(matrices):
     """The genus-2 base group on four 2x2 matrices, checked: each is 2x2 with
     unit determinant and the surface relator is +-I up to 1e-8."""
-    gens = GeneratorSet(tuple(np.asarray(m, float) for m in matrices))
+    gens = GeneratorSet(matrices)
     if any(m.shape != (2, 2) for m in gens.matrices):  # all of one shape
         raise GroupDataError(
             f"genus-2 base group needs 2 x 2 matrices, not {gens.matrices[0].shape}")
@@ -392,7 +393,7 @@ def translate_point(gens, v_word, point):
     conjugated word is solved for.  A synthetic point stays one.
     """
     phi = act_on_angle(evaluate(gens, v_word), point.circle_coord)
-    conj = None if point.word is None else point.word.conjugated_by(v_word)
+    conj = None if point.word is None else v_word * point.word * v_word.inverse()
     return BoundaryPoint(word=conj, circle_coord=phi, line=line_of_angle(phi))
 
 

@@ -14,8 +14,8 @@ from crlab.crossratio import (
     flow_from_cr, period, representation_pair, triple_ratio, veronese_pair,
 )
 from crlab.projlin import (
-    SpectrumError, dominant_line, dominant_lines, normalize_rep, sym_power_rep,
-    veronese, veronese_dual,
+    SpectrumError, dominant_lines, normalize_rep, sym_power_rep, veronese,
+    veronese_dual,
 )
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GeneratorSet, GroupDataError, SampleSet, Word,
@@ -107,16 +107,19 @@ class TestClassical:
 
 
 def one_matrix_line(rep, word, dual):
-    """xi (or xi* when dual) at the attracting fixed point of word from one
-    word product and one `dominant_line` call: the reference that
-    `representation_pair`'s stacked solve must match byte for byte."""
+    """The bytes of xi (or xi* when dual) at the attracting fixed point of
+    word from one word product and one `dominant_lines` call on it alone, or
+    that call's message: the reference that `representation_pair`'s stacked
+    solve must match byte for byte."""
     v, c = conjugate_split(word)
     m = evaluate(rep, c.inverse() if dual else c)
-    line = dominant_line(m.T if dual else m)
-    if not v.letters:
+    line, = dominant_lines((m.T if dual else m)[None])
+    if isinstance(line, str):
         return line
-    g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
-    return normalize_rep(g @ line)
+    if v.letters:
+        g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+        line = normalize_rep(g @ line)
+    return line.tobytes()
 
 
 class TestCurveCrossRatio:
@@ -278,7 +281,7 @@ class TestCurveCrossRatio:
         pair = representation_pair(octagon, sym_reps[3], 3)
         p = sample_l2.points[7]
         ls = p.word.letters
-        assert p.word.is_cyclically_reduced()
+        assert not conjugate_split(p.word)[0].letters  # cyclically reduced
         rotations = {ls[i:] + ls[:i] for i in range(len(ls))}
         assert len(rotations) > 1
         pair.xi(p)
@@ -294,7 +297,7 @@ class TestCurveCrossRatio:
         # g p has the word g w g^-1: its values are those at p moved by rho(g)
         g = next(g for g in (1, 2, 3, 4) if g not in (-ls[0], ls[-1]))
         q = translate_point(octagon, Word.of(g), p)
-        assert not q.word.is_cyclically_reduced()
+        assert conjugate_split(q.word)[0].letters  # not cyclically reduced
         pair.xi(q)
         pair.xistar(q)
         assert len(calls) == 1
@@ -330,12 +333,13 @@ class TestCurveCrossRatio:
 
     def test_stacked_eig_matches_one_matrix_solves(
             self, octagon, sample_l2, sample_l4, sym_reps):
-        # every xi and xi* is byte-equal to dominant_line of the one word
-        # product it stands for, and raises the same error where that does:
-        # on Sym^(n-1) of the octagon for n = 2..9, and with the rotating
-        # first generator of test_non_real_dominant_eigenvalue_raises, at
-        # every point of the L <= 4 sample (it holds those of L = 2 and 3)
-        # and at the L = 2 points moved by each generator
+        # every xi and xi* is byte-equal to dominant_lines of the one word
+        # product it stands for, solved alone, or raises the message that
+        # solve gives: on Sym^(n-1) of the octagon for n = 2..9, and with
+        # the rotating first generator of
+        # test_non_real_dominant_eigenvalue_raises, at every point of the
+        # L <= 4 sample (it holds those of L = 2 and 3) and at the L = 2
+        # points moved by each generator
         c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
         spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
         cases = [(n, tuple(sym_power_rep(n, m) for m in octagon.matrices))
@@ -350,14 +354,14 @@ class TestCurveCrossRatio:
 
         moved = [translate_point(octagon, Word.of(g), p)
                  for p in sample_l2.points for g in (1, 2, 3, 4, -1, -2, -3, -4)]
-        assert not all(q.word.is_cyclically_reduced() for q in moved)
+        assert any(conjugate_split(q.word)[0].letters for q in moved)
         raised = 0
         for n, images in cases:
             rep = GeneratorSet(images)
             pair = representation_pair(octagon, images, n)
             for p in (*sample_l4.points, *moved):
                 for dual, fn in ((False, pair.xi), (True, pair.xistar)):
-                    want = outcome(one_matrix_line, rep, p.word, dual)
+                    want = one_matrix_line(rep, p.word, dual)
                     assert outcome(fn, p) == want, (n, p.word, dual)
                     raised += isinstance(want, str)
         assert raised > 0
@@ -417,6 +421,17 @@ class TestCurveCrossRatio:
         check_axioms(pair, sample_l3, 50, seed=0)
         assert calls == {side: built[side] + len(sample_l3) for side in calls}
         assert pair.table(sample_l2) is table
+
+    def test_table_is_read_only(self, sample_l2):
+        # every later check on the sample reads the one table: a write to
+        # it would change them all
+        pair = veronese_pair(3)
+        before = check_axioms(pair, sample_l2, 50)
+        for arr in pair.table(sample_l2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 0.0
+        assert check_axioms(pair, sample_l2, 50) == before
 
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)

@@ -73,9 +73,9 @@ def test_public_names_pinned():
         names.setdefault(short, set()).add(name)
     assert names == {
         "projlin": {
-            "SpectrumError", "dominant_line", "dominant_lines",
-            "normalize_rep", "normalize_rows", "spanning_det", "sym_power_rep",
-            "veronese", "veronese_dual",
+            "SpectrumError", "dominant_lines", "normalize_rep",
+            "normalize_rows", "spanning_det", "sym_power_rep", "veronese",
+            "veronese_dual",
         },
         "surfgrp": {
             "BoundaryPoint", "GeneratorSet", "GroupDataError", "SampleSet",

@@ -39,7 +39,7 @@ class TestWords:
             w = Word.of(*letters)
             v, c = conjugate_split(w)
             assert v * c * v.inverse() == w
-            assert c.is_cyclically_reduced()
+            assert not conjugate_split(c)[0].letters  # cyclically reduced
         assert conjugate_split(Word.of(1, -2, 3, 2, -1))[0].letters == (1, -2)
 
     def test_zero_letter_rejected(self):
@@ -71,7 +71,7 @@ class TestEnumeration:
     def test_all_cyclically_reduced_and_ordered(self):
         g = octagon_fuchsian()
         words = enumerate_words(g, 3)
-        assert all(w.is_cyclically_reduced() for w in words)
+        assert not any(conjugate_split(w)[0].letters for w in words)
         keys = [(len(w), w.letters) for w in words]
         assert keys == sorted(keys)
 
@@ -171,6 +171,43 @@ class TestGeneratorSet:
         # `sample_boundary` numpy's "need at least one array to stack"
         with pytest.raises(GroupDataError, match="at least one matrix"):
             GeneratorSet(())
+
+    def test_nested_lists_are_float_arrays(self):
+        # lists reached `evaluate` as lists, where @ raised a TypeError, and
+        # `sample_boundary`, which raised an AttributeError on .shape
+        g = octagon_fuchsian()
+        lists = GeneratorSet(tuple(m.tolist() for m in g.matrices))
+        w = Word.of(1, 2, -3, 4)
+        assert evaluate(lists, w).tobytes() == evaluate(g, w).tobytes()
+        assert np.array_equal(sample_boundary(lists, 2).angles(),
+                              sample_boundary(g, 2).angles())
+
+    def test_integer_matrices_do_not_wrap(self):
+        # int64 products wrapped silently: a^60 read 790376311979428689.
+        # a = [[1, 1], [1, 0]]^2, so a^60 = [[F121, F120], [F120, F119]]
+        g = GeneratorSet((np.array([[2, 1], [1, 1]]), np.array([[1, 1], [0, 1]])))
+        fib = [0, 1]
+        while len(fib) < 122:
+            fib.append(fib[-1] + fib[-2])
+        got = evaluate(g, Word.of(*[1] * 60))
+        assert got[0, 0] == pytest.approx(fib[121], rel=1e-13)
+        assert got.dtype == float
+
+    @pytest.mark.parametrize("build", [GeneratorSet, make_generator_set])
+    def test_caller_writes_do_not_reach_the_group(self, build):
+        # a group that kept the caller's arrays saw a later write to them,
+        # while its inverses stayed those of the old matrices: a.a^-1 was
+        # off I by 1.78
+        g = octagon_fuchsian()
+        mats = [m.copy() for m in g.matrices]
+        group = build(mats)
+        mats[0][0, 0] += 1.0
+        assert group.matrices[0].tobytes() == g.matrices[0].tobytes()
+        assert np.linalg.norm(evaluate(group, Word((1, -1))) - np.eye(2)) < 1e-12
+        # the group's matrices and inverses are read-only
+        for m in group.matrices + group.inverses:
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 0.0
 
     @pytest.mark.parametrize("mat,message", [
         (np.eye(3), r"needs 2 x 2 matrices, not \(3, 3\)"),
@@ -294,7 +331,7 @@ class TestFixedPoints:
         w = Word.of(1, 2)
         v = Word.of(3, -1)
         att, _ = fixed_points_2x2(evaluate(g, w), word=w)
-        conj = w.conjugated_by(v)
+        conj = v * w * v.inverse()
         att_c, _ = fixed_points_2x2(evaluate(g, conj), word=conj)
         moved = act_on_angle(evaluate(g, v), att.circle_coord)
         assert circular_gap(att_c.circle_coord, moved) < 1e-9
@@ -463,7 +500,7 @@ class TestSampleBoundary:
         for v in movers:
             for p in s.points:
                 q = translate_point(g, v, p)
-                conj = p.word.conjugated_by(v)
+                conj = v * p.word * v.inverse()
                 want, _ = fixed_points_2x2(evaluate(g, conj), word=conj)
                 assert circular_gap(q.circle_coord, want.circle_coord) < 1e-11
                 assert q.word == want.word == conj
