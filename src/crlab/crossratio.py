@@ -187,17 +187,22 @@ def veronese_pair(n):
     keys are the BoundaryPoints themselves, hashed by identity: the cache
     holds them, so no id is reused while an entry lives, and a point is
     frozen and nothing writes to its line, so a kept value cannot go stale.
+    The kept values are read-only, so no caller can write to them either.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
 
     @lru_cache(maxsize=8)
     def xi(p):
-        return veronese(n, p.line)
+        v = veronese(n, p.line)
+        v.flags.writeable = False
+        return v
 
     @lru_cache(maxsize=8)
     def xistar(p):
-        return veronese_dual(n, p.line)
+        v = veronese_dual(n, p.line)
+        v.flags.writeable = False
+        return v
 
     return CurvePair(n=n, xi_fn=xi, xistar_fn=xistar, label=f"veronese-{n}")
 
@@ -219,7 +224,8 @@ def representation_pair(gens, rep, n):
     rho(r) and rho(r^-1) of every distinct rotation r of c, in one
     `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
     length m, fewer for a proper power.  Its values are kept, two for each r
-    and two for r^-1: the pair's one cache (`_limit_line`).  An entry with
+    and two for r^-1: the pair's one cache (`_limit_line`).  A kept value is
+    a read-only row of that solve; a moved one is a new array.  An entry with
     no dominant eigenline raises its own SpectrumError on every lookup, so a
     value of one side never fails with the other.  `rep` has one n x n image per
     generator of `gens`, with finite entries, and n >= 2, checked here.
@@ -257,21 +263,21 @@ def _limit_line(cores, rep, dual, p):
         lines = cores.get(c.letters)
         if lines is None:
             ls = c.letters  # () is the one rotation of the empty word
-            rotations = [Word(r) for r in dict.fromkeys(
-                ls[i:] + ls[:i] for i in range(len(ls) or 1))]
+            rotations = [(r, r.inverse()) for r in map(Word, dict.fromkeys(
+                ls[i:] + ls[:i] for i in range(len(ls) or 1)))]
             stack = []
             # word products of inverses, not numerical inverses: word images
             # can be far too ill-conditioned to invert in floats.  A rotation
             # nobody asked for may overflow; that shows as its own entries'
             # "matrix is not finite", not as a warning to whoever asked
             with np.errstate(over="ignore", invalid="ignore"):
-                for r in rotations:
-                    m, mi = evaluate(rep, r), evaluate(rep, r.inverse())
+                for r, ri in rotations:
+                    m, mi = evaluate(rep, r), evaluate(rep, ri)
                     stack += (m, mi.T, mi, m.T)
             solved = dominant_lines(np.array(stack))
-            for k, r in enumerate(rotations):
+            for k, (r, ri) in enumerate(rotations):
                 cores[r.letters] = solved[4 * k:4 * k + 2]
-                cores[r.inverse().letters] = solved[4 * k + 2:4 * k + 4]
+                cores[ri.letters] = solved[4 * k + 2:4 * k + 4]
             lines = cores[ls]
     line = lines[dual]
     if isinstance(line, str):

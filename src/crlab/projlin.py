@@ -3,11 +3,13 @@ dominant eigenline of a matrix.
 
 Everything here is small dense linear algebra (n <= ~12).  A point of
 P(R^n) or of its dual is carried as a unit vector with its first
-significant coordinate positive (`normalize_rep`).  Limit-curve values are
-eigenlines of word images, read off by the one eigen routine
+significant coordinate positive (`normalize_rep`, or `normalize_rows` on
+every row of an array at once, with the same bytes).  Limit-curve values
+are eigenlines of word images, read off by the one eigen routine
 `dominant_lines`, one `np.linalg.eig` call over a stack of matrices (a
 representation's curve pair stacks four per rotation of a word, a whole
-conjugacy class in one call; one matrix is a stack of one).
+conjugacy class in one call; one matrix is a stack of one), whose pick,
+tests and normalization also run on the whole stack at once.
 """
 
 import math
@@ -41,19 +43,23 @@ def normalize_rep(v):
 
 
 def normalize_rows(v):
-    """`normalize_rep` on every row of a (..., 2) array, with the same bytes.
+    """`normalize_rep` on every row of a (..., n) array, with the same bytes.
 
     Returns (rows, ok): ok is False where `normalize_rep` would raise, and
     the row there is not meaningful.  The norm is np.vecdot's sum, which
-    matches `normalize_rep`'s dot product where einsum and a*a + b*b do not.
+    matches `normalize_rep`'s dot product on C-contiguous rows (a strided
+    row, such as an eig column, must be copied first) where einsum and a
+    sum of squares do not.  The lead is the first coordinate above _SIG in
+    modulus, found by argmax over that mask: a row with none is not flipped.
     """
     with np.errstate(all="ignore"):
         nrm = np.sqrt(np.vecdot(v, v))
         v = v / nrm[..., None]
-    x, y = v[..., 0], v[..., 1]
-    lead = np.where(abs(x) > _SIG, x, np.where(abs(y) > _SIG, y, 0.0))
-    ok = np.isfinite(nrm) & (nrm >= 1e-300)
-    return np.where((lead < 0)[..., None], -v, v), ok
+    # in C order the rows of v start every n entries
+    first = (abs(v) > _SIG).argmax(axis=-1)  # 0 in a row with none above
+    lead = v.reshape(-1)[np.arange(0, v.size, v.shape[-1]) + first.ravel()]
+    np.negative(v, out=v, where=(lead < -_SIG).reshape(first.shape)[..., None])
+    return v, np.isfinite(nrm) & (nrm >= 1e-300)
 
 
 def veronese(n, p):
@@ -119,31 +125,42 @@ def dominant_lines(stack):
     """The eigenline of the largest |eigenvalue| of each matrix of a
     (k, n, n) stack, from one `np.linalg.eig` call over its finite matrices.
 
-    Returns a list of k entries: a matrix's unit representative, or the
-    message for a SpectrumError its caller raises: where the matrix has a
-    non-finite entry, where that eigenvalue is not real, or where another
-    eigenvalue has the same modulus up to a relative 1e-9 (then no eigenline
-    dominates).  eig solves a stack matrix by matrix, so an entry has the
-    same bytes as the matrix solved alone, in a stack of one.
+    Returns a list of k entries: a matrix's unit representative (a
+    read-only row of one array that holds them all), or the message for a
+    SpectrumError its caller raises: where the matrix has a non-finite
+    entry, where that eigenvalue is not real, or where another eigenvalue
+    has the same modulus up to a relative 1e-9 (then no eigenline
+    dominates).  The pick (the first largest modulus), both tests and the
+    `normalize_rows` call run on the whole stack at once.  eig solves a
+    stack matrix by matrix, so an entry has the same bytes as the matrix
+    solved alone, in a stack of one.
     """
-    finite = np.isfinite(stack).all(axis=(1, 2)).tolist()
-    w, v = np.linalg.eig(stack if all(finite) else stack[finite])
-    # n is small: plain floats are faster here
-    solved = zip(np.abs(w).tolist(), w.imag.tolist(), v)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    w, v = np.linalg.eig(stack if finite.all() else stack[finite])
+    mod = np.abs(w)
+    rows, k = np.arange(len(w)), mod.argmax(axis=1)
+    top = mod[rows, k]
+    not_real = abs(w.imag[rows, k]) > 1e-9 * top
+    not_simple = (mod >= (1 - 1e-9) * top[:, None]).sum(axis=1) > 1
+    # the picked columns, copied to contiguous rows for normalize_rows' sum
+    cols = np.ascontiguousarray(v[rows, :, k].real)
+    lines, ok = normalize_rows(cols)
+    lines.flags.writeable = False
+    solved = zip(not_real.tolist(), not_simple.tolist(), ok.tolist(), lines)
     out = []
-    for ok in finite:
-        if not ok:
+    for good in finite.tolist():
+        if not good:
             out.append("matrix is not finite")
             continue
-        mod, imag, vecs = next(solved)
-        top = max(mod)
-        k = mod.index(top)
-        if abs(imag[k]) > 1e-9 * top:
+        nonreal, tied, normal, line = next(solved)
+        if nonreal:
             out.append("dominant eigenvalue is not real")
-        elif len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
+        elif tied:
             out.append("dominant eigenvalue is not simple")
+        elif not normal:  # normalize_rep's own error
+            raise ValueError("zero or non-finite representative vector")
         else:
-            out.append(normalize_rep(vecs[:, k].real))
+            out.append(line)
     return out
 
 

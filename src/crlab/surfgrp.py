@@ -328,6 +328,8 @@ class BoundaryPoint:
         if not math.isfinite(phi):  # inf % 2 pi would be NaN
             raise ValueError(f"boundary angle must be finite, got {float(phi)!r}")
         phi = float(phi) % TWO_PI
+        if phi == TWO_PI:  # a tiny negative angle rounds up to 2 pi
+            phi = 0.0
         return BoundaryPoint(word=None, circle_coord=phi, line=line_of_angle(phi))
 
 

@@ -433,6 +433,33 @@ class TestCurveCrossRatio:
                 arr[:] = 0.0
         assert check_axioms(pair, sample_l2, 50) == before
 
+    def test_kept_values_are_read_only(self, octagon, sample_l2, sym_reps):
+        # a kept curve value is handed out itself: a write to it would
+        # change every later lookup at its point
+        p = sample_l2.points[7]
+        assert not conjugate_split(p.word)[0].letters  # a core word: kept
+        for pair in (representation_pair(octagon, sym_reps[3], 3), veronese_pair(3)):
+            for fn in (pair.xi, pair.xistar):
+                v = fn(p)
+                before = v.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    v[:] = 0.0
+                assert fn(p).tobytes() == before, pair.label
+
+    def test_moved_values_are_new_arrays(self, octagon, sample_l2, sym_reps):
+        # a moved value is computed on each lookup: writable, and a write
+        # to it reaches no later lookup
+        pair = representation_pair(octagon, sym_reps[3], 3)
+        moved = [translate_point(octagon, Word.of(2), p) for p in sample_l2.points[:8]]
+        moved = [q for q in moved if conjugate_split(q.word)[0].letters]
+        assert moved
+        for q in moved:
+            for fn in (pair.xi, pair.xistar):
+                v = fn(q)
+                before = v.tobytes()
+                v[:] = 0.0
+                assert fn(q).tobytes() == before
+
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
         rng = np.random.default_rng(6)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from crlab.projlin import (
-    dominant_lines, normalize_rep, spanning_det, sym_power_rep, veronese,
-    veronese_dual,
+    dominant_lines, normalize_rep, normalize_rows, spanning_det, sym_power_rep,
+    veronese, veronese_dual,
 )
+from crlab.surfgrp import GeneratorSet, Word, conjugate_split, evaluate
 
 
 def rot(theta):
@@ -17,6 +18,41 @@ def rot(theta):
 def alone(m):
     """`dominant_lines` of the one matrix m: its line, or its message."""
     return dominant_lines(m[None])[0]
+
+
+def looped_lines(stack):
+    """`dominant_lines` as a loop over the stack, the reference for its
+    vectorized pick: one np.linalg.eig per finite matrix, the first index of
+    the largest modulus, the two tests, and normalize_rep of that column."""
+    out = []
+    for m in stack:
+        if not np.isfinite(m).all():
+            out.append("matrix is not finite")
+            continue
+        w, vecs = np.linalg.eig(m)
+        mod = np.abs(w).tolist()
+        top = max(mod)
+        k = mod.index(top)
+        if abs(w.imag[k]) > 1e-9 * top:
+            out.append("dominant eigenvalue is not real")
+        elif len([x for x in mod if x >= (1 - 1e-9) * top]) > 1:
+            out.append("dominant eigenvalue is not simple")
+        else:
+            out.append(normalize_rep(vecs[:, k].real))
+    return out
+
+
+def assert_same_pick(stack):
+    """dominant_lines(stack) has looped_lines' bytes and messages; returns
+    the number of messages."""
+    got, want = dominant_lines(stack), looped_lines(stack)
+    assert len(got) == len(want) == len(stack)
+    for i, (g, w) in enumerate(zip(got, want)):
+        if isinstance(w, str):
+            assert g == w, i
+        else:
+            assert g.tobytes() == w.tobytes(), i
+    return sum(isinstance(w, str) for w in want)
 
 
 def random_sl2(rng, max_log=0.7):
@@ -200,6 +236,89 @@ class TestSameBytes:
                 fn(n, arg)
 
 
+def normalize_rows_2wide(v):
+    """`normalize_rows` as it was on (..., 2) arrays alone, lead picked by
+    two nested np.where: the reference `_fixed_point_stack`'s bytes rest on."""
+    with np.errstate(all="ignore"):
+        nrm = np.sqrt(np.vecdot(v, v))
+        v = v / nrm[..., None]
+    x, y = v[..., 0], v[..., 1]
+    lead = np.where(abs(x) > 1e-12, x, np.where(abs(y) > 1e-12, y, 0.0))
+    ok = np.isfinite(nrm) & (nrm >= 1e-300)
+    return np.where((lead < 0)[..., None], -v, v), ok
+
+
+def rows_with_small_leads(rng, count, n):
+    """count random rows of width n; in row i the first i % n coordinates
+    are 0 or about 1e-12 (the significance threshold) times the row's norm,
+    of either sign."""
+    v = rng.standard_normal((count, n))
+    small = np.array([0.0, 0.5, 1.0, 2.0]) * 1e-12
+    for i, row in enumerate(v):
+        j = i % n
+        row[:j] = (rng.choice([-1.0, 1.0], j) * rng.choice(small, j)
+                   * np.linalg.norm(row[j:]))
+    return v
+
+
+class TestNormalizeRows:
+    """`normalize_rows` is `normalize_rep` row by row, at any width."""
+
+    def test_rows_match_normalize_rep(self):
+        rng = np.random.default_rng(24)
+        for n in range(1, 13):
+            for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+                v = scale * rows_with_small_leads(rng, 48, n)
+                rows, ok = normalize_rows(v)
+                assert ok.all() and rows.shape == v.shape
+                for i, row in enumerate(v):
+                    assert rows[i].tobytes() == normalize_rep(row).tobytes(), (n, scale, i)
+                # any leading shape: each row on its own
+                got, ok3 = normalize_rows(v.reshape(4, 12, n))
+                assert got.reshape(48, n).tobytes() == rows.tobytes()
+                assert ok3.shape == (4, 12) and ok3.all()
+
+    def test_ok_false_exactly_where_normalize_rep_raises(self):
+        # np.errstate(all="raise") turns any floating-point flag set outside
+        # normalize_rows' own errstate into an error, as -W error would a
+        # RuntimeWarning
+        rng = np.random.default_rng(25)
+        for n in range(1, 13):
+            v = rng.standard_normal((12, n))
+            v[1] = 0.0
+            v[3] = 0.0
+            v[3, -1] = 1e-301
+            v[5, 0] = np.inf
+            v[7, -1] = -np.inf
+            v[9] = np.nan
+            v[11, 0] = np.nan
+            with np.errstate(all="raise"):
+                rows, ok = normalize_rows(v)
+            for i, row in enumerate(v):
+                try:
+                    want = normalize_rep(row)
+                except ValueError:
+                    assert not ok[i], (n, i)
+                else:
+                    assert ok[i] and rows[i].tobytes() == want.tobytes(), (n, i)
+            assert ok.tolist() == [i % 2 == 0 for i in range(12)]
+
+    def test_fixed_point_stack_shape_keeps_its_bytes(self):
+        # (N, 2, 2) stacks of 2-vectors, the shape _fixed_point_stack passes
+        # twice, get the bytes of the 2-wide version, rejected rows included
+        rng = np.random.default_rng(26)
+        for scale in (1e-150, 1.0, 1e150):
+            v = scale * rows_with_small_leads(rng, 400, 2).reshape(200, 2, 2)
+            v[:8, 1] = [[0.0, 0.0], [0.0, -0.0], [1e-301, 0.0], [np.inf, 1.0],
+                        [-np.inf, 0.0], [np.nan, 1.0], [0.0, np.nan], [-0.0, -3.0]]
+            with np.errstate(all="raise"):
+                got, ok = normalize_rows(v)
+            want, want_ok = normalize_rows_2wide(v)
+            assert got.tobytes() == want.tobytes()
+            assert ok.tobytes() == want_ok.tobytes()
+            assert ok[:8, 1].tolist() == [False] * 7 + [True]
+
+
 class TestSymPower:
     def test_diag_action(self):
         s = sym_power_rep(3, np.diag([2.0, 0.5]))
@@ -353,6 +472,84 @@ class TestEigenSplit:
         assert sine_distance(alone(mi), g[:, 4]) < 1e-12
         assert sine_distance(alone(m.T), gi[0]) < 1e-12
         assert sine_distance(alone(mi.T), gi[4]) < 1e-12
+
+
+def class_stacks(rep, sample):
+    """The stack `representation_pair` solves for each cyclic conjugacy
+    class of the sample's words: (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T)
+    for every distinct rotation r of the class's word."""
+    seen, stacks = set(), []
+    for p in sample.points:
+        ls = conjugate_split(p.word)[1].letters
+        if ls in seen:
+            continue
+        stack = []
+        for r in map(Word, dict.fromkeys(ls[i:] + ls[:i] for i in range(len(ls) or 1))):
+            m, mi = evaluate(rep, r), evaluate(rep, r.inverse())
+            stack += (m, mi.T, mi, m.T)
+            seen.update((r.letters, r.inverse().letters))
+        stacks.append(np.array(stack))
+    return stacks
+
+
+class TestStackedPick:
+    """`dominant_lines`' vectorized pick, tests and normalization against
+    the per-matrix loop (`looped_lines`), byte for byte."""
+
+    def test_class_stacks_match_looped_pick(self, octagon, sample_l3):
+        # every class of the L = 3 sample under Sym^(n-1) of the octagon,
+        # and at n = 3 with a first generator whose dominant eigenvalues
+        # are not real, so classes mix lines and messages
+        c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
+        spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
+        cases = [[sym_power_rep(n, m) for m in octagon.matrices] for n in range(2, 10)]
+        cases.append([spin] + cases[1][1:])
+        messages = 0
+        for images in cases:
+            stacks = class_stacks(GeneratorSet(images), sample_l3)
+            assert len(stacks) == 72
+            for stack in stacks:
+                messages += assert_same_pick(stack)
+        assert messages > 0
+
+    def test_synthetic_stacks_match_looped_pick(self):
+        # non-finite, complex-spectrum, tied and one-matrix entries; one
+        # complex spectrum makes the whole eig output complex
+        rng = np.random.default_rng(27)
+        spin = np.diag([1.0, 1.0, 0.5])
+        spin[:2, :2] = 2.0 * rot(0.7)               # dominant pair not real
+        low = np.diag([3.0, 1.0, 1.0])
+        low[1:, 1:] = 0.5 * rot(0.4)                # complex, not dominant
+        m = sym_power_rep(3, random_hyperbolic(rng))
+        entries = [m, spin, low, m.T, np.diag([2.0, -2.0, 0.25]),
+                   np.diag([2.0, 2.0 * (1 - 1e-10), 0.25]),   # tied within 1e-9
+                   np.diag([2.0, 2.0 * (1 - 1e-8), 0.25]),    # just simple
+                   np.diag([np.inf, 2.0, 1.0]), np.full((3, 3), np.nan),
+                   np.zeros((3, 3)), -np.eye(3), np.diag([1.0, -3.0, 0.5])]
+        stack = np.array(entries)
+        assert np.iscomplexobj(np.linalg.eig(stack[:3])[0])
+        assert assert_same_pick(stack) == 7
+        for mat in entries:
+            assert_same_pick(mat[None])
+        assert_same_pick(stack[[7, 8]])             # nothing finite
+        assert_same_pick(stack[[0, 2, 3, 6]])       # all lines
+        for n in range(2, 10):                      # mixed real and complex
+            stack = rng.standard_normal((40, n, n))
+            stack[::9, 0, 0] = np.nan
+            assert 0 < assert_same_pick(stack) < 40
+
+    def test_lines_are_read_only_rows_of_one_array(self):
+        rng = np.random.default_rng(28)
+        stack = np.array([sym_power_rep(4, random_hyperbolic(rng)) for _ in range(5)])
+        stack[2, 0, 0] = np.inf
+        got = dominant_lines(stack)
+        lines = [got[i] for i in (0, 1, 3, 4)]
+        assert got[2] == "matrix is not finite"
+        for line in lines:
+            assert line.base is lines[0].base and line.base.shape == (4, 4)
+            assert not line.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                line[:] = 0.0
 
 
 class TestFlags:

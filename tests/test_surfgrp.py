@@ -547,3 +547,17 @@ class TestAngleCoordinates:
     def test_antipodal_lines_identified(self):
         v = line_of_angle(1.0)
         assert abs(angle_of_line(-v) - 1.0) < 1e-12
+
+    def test_from_angle_stays_below_two_pi(self):
+        # a float % sends a tiny negative angle to exactly 2 pi, whose line
+        # is [-1, 1.2e-16] where phi = 0's is [1, 0]
+        zero = BoundaryPoint.from_angle(0.0)
+        for phi in (-1e-17, -4e-16, -1e-300, -0.0):
+            assert phi % TWO_PI == (TWO_PI if phi else 0.0)
+            p = BoundaryPoint.from_angle(phi)
+            assert p.circle_coord == 0.0
+            assert p.line.tobytes() == zero.line.tobytes() == np.array([1.0, 0.0]).tobytes()
+        for phi in (-1e-15, -TWO_PI, TWO_PI, 3 * TWO_PI - 1e-9, np.nextafter(TWO_PI, 0.0)):
+            p = BoundaryPoint.from_angle(phi)
+            assert 0.0 <= p.circle_coord < TWO_PI, phi
+            assert p.circle_coord == float(phi) % TWO_PI, phi
