@@ -223,12 +223,14 @@ def representation_pair(gens, rep, n):
     of c^-1), solves xi and xi* at both fixed points of all of them, from
     rho(r) and rho(r^-1) of every distinct rotation r of c, in one
     `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
-    length m, fewer for a proper power.  Its values are kept, two for each r
-    and two for r^-1: the pair's one cache (`_limit_line`).  A kept value is
-    a read-only row of that solve; a moved one is a new array.  An entry with
-    no dominant eigenline raises its own SpectrumError on every lookup, so a
-    value of one side never fails with the other.  `rep` has one n x n image per
-    generator of `gens`, with finite entries, and n >= 2, checked here.
+    length m, fewer for a proper power.  The pair's one cache
+    (`_limit_line`) keeps that solve's one array of lines and its list of
+    messages, and for each r and r^-1 where its two rows are.  A kept value
+    is a read-only row of that array; a moved one is a new array.  A row with
+    no dominant eigenline (NaN) raises its own SpectrumError on every lookup,
+    so a value of one side never fails with the other.  `rep` has one n x n
+    image per generator of `gens`, with finite entries, and n >= 2, checked
+    here.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -246,52 +248,55 @@ def representation_pair(gens, rep, n):
 def _limit_line(cores, rep, dual, p):
     """xi (or xi* when dual) of `representation_pair` at the boundary point p.
 
-    `cores` maps the letters of a cyclically reduced word w to the
-    `dominant_lines` of (rho(w), rho(w^-1)^T): xi and xi* at w+.  A miss of
-    a core c solves (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T) of every
-    distinct rotation r of c in one stack, and keeps the first two for r and
-    the last two for r^-1.  Any other word v c v^-1 takes its core c's line
-    moved by rho(v), computed again on each lookup; a moved line that over-
-    or underflows raises SpectrumError.
+    `cores` maps the letters of a cyclically reduced word w to (lines,
+    errors, row): the `dominant_lines` of its class solve, and the row of
+    rho(w) in it, followed by that of rho(w^-1)^T, xi and xi* at w+.  A
+    miss of a core c solves (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T) of
+    every distinct rotation r of c in one stack, and keeps the rows of the
+    first two for r and of the last two for r^-1.  A lookup raises the
+    SpectrumError of its own row, or returns that read-only row.  Any other
+    word v c v^-1 takes its core c's line moved by rho(v), computed again on
+    each lookup; a moved line that over- or underflows raises SpectrumError.
     """
     if p.word is None:
         raise DomainError("eigen-sampled curve needs a worded boundary point")
     v = None
-    lines = cores.get(p.word.letters)
-    if lines is None:
+    core = cores.get(p.word.letters)
+    if core is None:
         v, c = conjugate_split(p.word)
-        lines = cores.get(c.letters)
-        if lines is None:
+        core = cores.get(c.letters)
+        if core is None:
             ls = c.letters  # () is the one rotation of the empty word
             rotations = [(r, r.inverse()) for r in map(Word, dict.fromkeys(
                 ls[i:] + ls[:i] for i in range(len(ls) or 1)))]
             stack = []
             # word products of inverses, not numerical inverses: word images
             # can be far too ill-conditioned to invert in floats.  A rotation
-            # nobody asked for may overflow; that shows as its own entries'
+            # nobody asked for may overflow; that shows as its own rows'
             # "matrix is not finite", not as a warning to whoever asked
             with np.errstate(over="ignore", invalid="ignore"):
                 for r, ri in rotations:
                     m, mi = evaluate(rep, r), evaluate(rep, ri)
                     stack += (m, mi.T, mi, m.T)
-            solved = dominant_lines(np.array(stack))
+            lines, errors = dominant_lines(np.array(stack))
             for k, (r, ri) in enumerate(rotations):
-                cores[r.letters] = solved[4 * k:4 * k + 2]
-                cores[ri.letters] = solved[4 * k + 2:4 * k + 4]
-            lines = cores[ls]
-    line = lines[dual]
-    if isinstance(line, str):
+                cores[r.letters] = (lines, errors, 4 * k)
+                cores[ri.letters] = (lines, errors, 4 * k + 2)
+            core = cores[ls]
+    lines, errors, row = core
+    row += dual
+    if errors[row] is not None:
         # a new error each time: one stored and raised again would grow its
         # traceback on every raise
-        raise SpectrumError(line)
+        raise SpectrumError(errors[row])
     if v:  # a moved point: v is not empty
         with np.errstate(over="ignore", invalid="ignore"):
             g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
             try:
-                line = normalize_rep(g @ line)
+                return normalize_rep(g @ lines[row])
             except ValueError:  # over- or underflowed: no line to normalize
                 raise SpectrumError("moved value is zero or not finite") from None
-    return line
+    return lines[row]
 
 
 def curve_cr(pair, q):

@@ -9,7 +9,9 @@ are eigenlines of word images, read off by the one eigen routine
 `dominant_lines`, one `np.linalg.eig` call over a stack of matrices (a
 representation's curve pair stacks four per rotation of a word, a whole
 conjugacy class in one call; one matrix is a stack of one), whose pick,
-tests and normalization also run on the whole stack at once.
+tests and normalization also run on the whole stack at once.  It returns
+one array for the whole stack, a row per matrix, NaN where the matrix has
+no dominant eigenline, beside a list of the messages of those rows.
 """
 
 import math
@@ -121,47 +123,46 @@ def _pow_coeffs(u, v, m):
     return np.array([math.comb(m, k) * u ** (m - k) * v ** k for k in range(m + 1)])
 
 
+_MESSAGES = np.array([None, "matrix is not finite", "dominant eigenvalue is not real",
+                      "dominant eigenvalue is not simple"], dtype=object)
+
+
 def dominant_lines(stack):
     """The eigenline of the largest |eigenvalue| of each matrix of a
     (k, n, n) stack, from one `np.linalg.eig` call over its finite matrices.
 
-    Returns a list of k entries: a matrix's unit representative (a
-    read-only row of one array that holds them all), or the message for a
-    SpectrumError its caller raises: where the matrix has a non-finite
-    entry, where that eigenvalue is not real, or where another eigenvalue
-    has the same modulus up to a relative 1e-9 (then no eigenline
-    dominates).  The pick (the first largest modulus), both tests and the
-    `normalize_rows` call run on the whole stack at once.  eig solves a
-    stack matrix by matrix, so an entry has the same bytes as the matrix
-    solved alone, in a stack of one.
+    Returns (lines, errors): one read-only (k, n) array of the matrices'
+    unit representatives, and a k-list of None, or of the message for a
+    SpectrumError its caller raises, where the row of lines is NaN: where
+    the matrix has a non-finite entry, where that eigenvalue is not real,
+    or where another eigenvalue has the same modulus up to a relative 1e-9
+    (then no eigenline dominates).  The pick (the first largest modulus),
+    both tests, the `normalize_rows` call and the messages run on the whole
+    stack at once.  eig solves a stack matrix by matrix, so a row has the
+    same bytes as the matrix solved alone, in a stack of one.
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
-    w, v = np.linalg.eig(stack if finite.all() else stack[finite])
+    every = finite.all()
+    w, v = np.linalg.eig(stack if every else stack[finite])
     mod = np.abs(w)
     rows, k = np.arange(len(w)), mod.argmax(axis=1)
     top = mod[rows, k]
     not_real = abs(w.imag[rows, k]) > 1e-9 * top
     not_simple = (mod >= (1 - 1e-9) * top[:, None]).sum(axis=1) > 1
     # the picked columns, copied to contiguous rows for normalize_rows' sum
-    cols = np.ascontiguousarray(v[rows, :, k].real)
-    lines, ok = normalize_rows(cols)
-    lines.flags.writeable = False
-    solved = zip(not_real.tolist(), not_simple.tolist(), ok.tolist(), lines)
-    out = []
-    for good in finite.tolist():
-        if not good:
-            out.append("matrix is not finite")
-            continue
-        nonreal, tied, normal, line = next(solved)
-        if nonreal:
-            out.append("dominant eigenvalue is not real")
-        elif tied:
-            out.append("dominant eigenvalue is not simple")
-        elif not normal:  # normalize_rep's own error
-            raise ValueError("zero or non-finite representative vector")
-        else:
-            out.append(line)
-    return out
+    lines, ok = normalize_rows(np.ascontiguousarray(v[rows, :, k].real))
+    failed = not_real | not_simple
+    if not ok.all() and not (ok | failed).all():  # normalize_rep's own error
+        raise ValueError("zero or non-finite representative vector")
+    if every and not failed.any():  # the common case: a line for each matrix
+        lines.flags.writeable = False
+        return lines, [None] * len(stack)
+    code = np.ones(len(stack), dtype=np.intp)  # into _MESSAGES
+    code[finite] = np.where(not_real, 2, 3 * not_simple)
+    full = np.full(stack.shape[:2], np.nan)
+    full[code == 0] = lines[~failed]
+    full.flags.writeable = False
+    return full, _MESSAGES[code].tolist()
 
 
 def spanning_det(vectors):

@@ -340,7 +340,7 @@ def line_of_angle(phi):
 def angle_of_line(v):
     v = normalize_rep(v)
     theta = np.arctan2(v[1], v[0]) % np.pi
-    return (2.0 * theta) % TWO_PI
+    return float((2.0 * theta) % TWO_PI)
 
 
 def circular_gap(a, b):
@@ -493,5 +493,5 @@ def sample_boundary(gens, max_len):
         kept.pop(0 if size[kept[-1]] < size[kept[0]] else -1)
     worded = (Word(words[i // 2]) for i in kept)
     return SampleSet(points=tuple(
-        BoundaryPoint(w.inverse() if i % 2 else w, angles[i], lines[i])
+        BoundaryPoint(w.inverse() if i % 2 else w, phi[i], lines[i])
         for i, w in zip(kept, worded)), group=gens)

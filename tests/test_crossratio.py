@@ -113,9 +113,9 @@ def one_matrix_line(rep, word, dual):
     solve must match byte for byte."""
     v, c = conjugate_split(word)
     m = evaluate(rep, c.inverse() if dual else c)
-    line, = dominant_lines((m.T if dual else m)[None])
-    if isinstance(line, str):
-        return line
+    (line,), (error,) = dominant_lines((m.T if dual else m)[None])
+    if error is not None:
+        return error
     if v.letters:
         g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
         line = normalize_rep(g @ line)
@@ -330,6 +330,48 @@ class TestCurveCrossRatio:
                                   for i in range(len(ls))))
         assert len(calls) == len(classes) < len(sample_l3.points) / 2
         assert sum(calls) == sum(2 * len(k) for k in classes)
+
+    def test_cache_holds_one_array_per_class_solve(self, octagon, sample_l3,
+                                                   sym_reps, monkeypatch):
+        # each word of a class keeps (lines, errors, row) of the class's one
+        # dominant_lines call, not lines of its own: one array per call, and
+        # the rows of rho(r) and rho(r^-1)^T, for every word of the class
+        calls = []
+
+        def counted(stack):
+            calls.append(dominant_lines(stack))
+            return calls[-1]
+
+        monkeypatch.setattr(crossratio, "dominant_lines", counted)
+        pair = representation_pair(octagon, sym_reps[3], 3)
+        for p in sample_l3.points:
+            pair.xi(p)
+            pair.xistar(p)
+        cores = pair.xi_fn.args[0]
+        assert pair.xistar_fn.args[0] is cores
+        solves = {id(lines): (lines, errors, []) for lines, errors in calls}
+        assert len(solves) == len(calls)
+        for lines, errors, row in cores.values():
+            solved = solves[id(lines)]
+            assert solved[0] is lines and solved[1] is errors
+            solved[2].append(row)
+        for lines, errors, rows in solves.values():
+            assert sorted(rows) == list(range(0, len(lines), 2))
+            assert lines.shape == (len(errors), 3) and not lines.flags.writeable
+        # a failed row is NaN, and its message raises on its own side only:
+        # rho(a) has dominant eigenvalues 2 exp(+-0.7 i), rho(a^-1)^T the
+        # line e3 (as in test_non_real_dominant_eigenvalue_raises)
+        c, s = 2 * np.cos(0.7), 2 * np.sin(0.7)
+        spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 0.25]])
+        pair = representation_pair(octagon, (spin,) + sym_reps[3][1:], 3)
+        p = next(p for p in sample_l3.points if p.word == Word.of(1))
+        assert np.array_equal(pair.xistar(p), [0.0, 0.0, 1.0])
+        lines, errors, row = pair.xi_fn.args[0][(1,)]
+        assert errors[row] == "dominant eigenvalue is not real"
+        assert np.isnan(lines[row]).all() and errors[row + 1] is None
+        with pytest.raises(SpectrumError, match="^dominant eigenvalue is not real$"):
+            pair.xi(p)
+        assert pair.xistar(p).tobytes() == lines[row + 1].tobytes()
 
     def test_stacked_eig_matches_one_matrix_solves(
             self, octagon, sample_l2, sample_l4, sym_reps):

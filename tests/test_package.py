@@ -198,3 +198,22 @@ def test_error_messages_print_plain_numbers():
             raises()
         msg = str(err.value)
         assert number in msg and "np." not in msg, msg
+
+
+def test_reports_print_plain_numbers(octagon, sample_l2):
+    # a witness's angles, taken from sample points (sample_boundary), from
+    # points solved one word at a time (fixed_points_2x2) and from moved
+    # ones (translate_point), are floats: no report reads np.float64(...)
+    b = crossratio.veronese_pair(3)
+    p = surfgrp.translate_point(octagon, surfgrp.Word.of(1), sample_l2.points[0])
+    points = [*sample_l2.points[:3], *octagon.fixed_points(surfgrp.Word.of(2)), p]
+    assert all(type(q.circle_coord) is float for q in points)
+    w, e, u = points[1:4]
+    reports = [crossratio.check_axioms(b, sample_l2, 20, seed=1),
+               crossratio.check_invariance(b, sample_l2, 20, seed=1),
+               crossratio.check_relation12(b, sample_l2, 20, seed=1),
+               crossratio.check_relation13(b, sample_l2, 20, seed=1),
+               crossratio.embed_from_cr(b, w, e, u, sample_l2, 20, seed=1)[1]]
+    assert any(r["argmax"][k] for r in reports for k in r["argmax"])
+    for report in reports:
+        assert "np." not in repr(report), report

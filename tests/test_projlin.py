@@ -15,9 +15,16 @@ def rot(theta):
                      [np.sin(theta), np.cos(theta)]])
 
 
+def entries(stack):
+    """`dominant_lines(stack)` as one entry per matrix: its line (a row of
+    the one array), or its message."""
+    lines, errors = dominant_lines(stack)
+    return [line if error is None else error for line, error in zip(lines, errors)]
+
+
 def alone(m):
     """`dominant_lines` of the one matrix m: its line, or its message."""
-    return dominant_lines(m[None])[0]
+    return entries(m[None])[0]
 
 
 def looped_lines(stack):
@@ -45,7 +52,7 @@ def looped_lines(stack):
 def assert_same_pick(stack):
     """dominant_lines(stack) has looped_lines' bytes and messages; returns
     the number of messages."""
-    got, want = dominant_lines(stack), looped_lines(stack)
+    got, want = entries(stack), looped_lines(stack)
     assert len(got) == len(want) == len(stack)
     for i, (g, w) in enumerate(zip(got, want)):
         if isinstance(w, str):
@@ -386,7 +393,7 @@ class TestEigenSplit:
         spin[:2, :2] = 2.0 * rot(0.7)
         m = sym_power_rep(3, random_sl2(np.random.default_rng(19)))
         stack = np.array((m, spin, np.diag([2.0, -2.0, 0.25]), m.T))
-        got = dominant_lines(stack)
+        got = entries(stack)
         assert got[1:3] == ["dominant eigenvalue is not real",
                             "dominant eigenvalue is not simple"]
         for entry, mat in zip(got, stack):
@@ -402,13 +409,13 @@ class TestEigenSplit:
         m = sym_power_rep(3, random_hyperbolic(np.random.default_rng(23)))
         big = np.diag([np.inf, 2.0, 1.0])
         stack = np.array((m, big, m.T, np.full((3, 3), np.nan)))
-        got = dominant_lines(stack)
+        got = entries(stack)
         assert got[1] == got[3] == "matrix is not finite"
         for i in (0, 2):
             assert got[i].tobytes() == alone(stack[i]).tobytes()
         assert alone(big) == "matrix is not finite"
         # no finite matrix: nothing is solved
-        assert dominant_lines(stack[[1, 3]]) == ["matrix is not finite"] * 2
+        assert entries(stack[[1, 3]]) == ["matrix is not finite"] * 2
 
     def test_negative_dominant_eigenvalue(self):
         # the eigenline of -3 is the second axis, sign-normalized
@@ -539,17 +546,26 @@ class TestStackedPick:
             assert 0 < assert_same_pick(stack) < 40
 
     def test_lines_are_read_only_rows_of_one_array(self):
+        # a row per matrix of the stack, NaN where its message is
         rng = np.random.default_rng(28)
-        stack = np.array([sym_power_rep(4, random_hyperbolic(rng)) for _ in range(5)])
+        stack = np.array([sym_power_rep(4, random_hyperbolic(rng)) for _ in range(6)])
         stack[2, 0, 0] = np.inf
-        got = dominant_lines(stack)
-        lines = [got[i] for i in (0, 1, 3, 4)]
-        assert got[2] == "matrix is not finite"
-        for line in lines:
-            assert line.base is lines[0].base and line.base.shape == (4, 4)
-            assert not line.flags.writeable
+        stack[4] = np.diag([2.0, -2.0, 0.25, 0.5])
+        want = {(): [None, None, "matrix is not finite", None,
+                     "dominant eigenvalue is not simple", None],
+                (0, 1, 3, 4, 5): [None] * 3 + ["dominant eigenvalue is not simple", None],
+                (0, 1, 3, 5): [None] * 4}  # no inf; every line
+        for rows, messages in want.items():
+            got = stack[list(rows)] if rows else stack
+            lines, errors = dominant_lines(got)
+            assert type(lines) is np.ndarray and lines.shape == (len(got), 4)
+            assert errors == messages
+            failed = [e is not None for e in errors]
+            assert np.isnan(lines).all(axis=1).tolist() == failed
+            assert not np.isnan(lines[~np.array(failed)]).any()
+            assert not lines.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                line[:] = 0.0
+                lines[0] = 0.0
 
 
 class TestFlags:
