@@ -183,28 +183,34 @@ def veronese_pair(n):
     """Closed-form moment curve with its osculating dual; evaluable anywhere.
 
     The last few values of each are kept, so a flow computes its fixed
-    points x+, x0 and x- once rather than at every evaluation of b.  The
-    keys are the BoundaryPoints themselves, hashed by identity: the cache
-    holds them, so no id is reused while an entry lives, and a point is
-    frozen and nothing writes to its line, so a kept value cannot go stale.
-    The kept values are read-only, so no caller can write to them either.
+    points x+, x0 and x- once rather than at every evaluation of b.  A
+    value depends on the point's line alone, so the keys are the bytes of
+    the line as a float array: two points with the same line, such as a
+    word's fixed points solved by `fixed_points_2x2` and those kept by
+    `GeneratorSet.fixed_points`, share one value, and lines that differ in
+    any bit, even the sign of a zero, get their own.  The value is computed
+    from those bytes, which are the line `veronese` would read.  The kept
+    values are read-only, so no caller can write to them.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
 
     @lru_cache(maxsize=8)
-    def xi(p):
-        v = veronese(n, p.line)
+    def xi(line):
+        v = veronese(n, np.frombuffer(line))
         v.flags.writeable = False
         return v
 
     @lru_cache(maxsize=8)
-    def xistar(p):
-        v = veronese_dual(n, p.line)
+    def xistar(line):
+        v = veronese_dual(n, np.frombuffer(line))
         v.flags.writeable = False
         return v
 
-    return CurvePair(n=n, xi_fn=xi, xistar_fn=xistar, label=f"veronese-{n}")
+    return CurvePair(
+        n=n, xi_fn=lambda p: xi(p.line.astype(float, copy=False).tobytes()),
+        xistar_fn=lambda p: xistar(p.line.astype(float, copy=False).tobytes()),
+        label=f"veronese-{n}")
 
 
 def representation_pair(gens, rep, n):
@@ -215,8 +221,10 @@ def representation_pair(gens, rep, n):
     dominant eigenline of rho(c) and the dual value the dominant left
     eigenline of rho(c^-1).  The value at the point v . c+ = w+ is then
     moved on each lookup by equivariance: xi(v p) = rho(v) xi(p) and
-    xi*(v p) = rho(v)^-T xi*(p).  Eigen-data of rho(v c v^-1) itself is
-    never taken: that product can be far too ill-conditioned.
+    xi*(v p) = rho(v)^-T xi*(p), with rho(v) and rho(v^-1) formed once per
+    conjugator v and kept by the pair's images (`GeneratorSet.product`).
+    Eigen-data of rho(v c v^-1) itself is never taken: that product can be
+    far too ill-conditioned.
 
     The first value asked for at a fixed point of c, or of any other
     cyclically reduced word conjugate to c or c^-1 (the rotations of c and
@@ -225,8 +233,9 @@ def representation_pair(gens, rep, n):
     `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
     length m, fewer for a proper power.  The pair's one cache
     (`_limit_line`) keeps that solve's one array of lines and its list of
-    messages, and for each r and r^-1 where its two rows are.  A kept value
-    is a read-only row of that array; a moved one is a new array.  A row with
+    messages, and for each r and r^-1 where its two rows are; the rotation
+    products are formed for that solve alone and not kept.  A kept value is
+    a read-only row of that array; a moved one is a new array.  A row with
     no dominant eigenline (NaN) raises its own SpectrumError on every lookup,
     so a value of one side never fails with the other.  `rep` has one n x n
     image per generator of `gens`, with finite entries, and n >= 2, checked
@@ -255,8 +264,12 @@ def _limit_line(cores, rep, dual, p):
     every distinct rotation r of c in one stack, and keeps the rows of the
     first two for r and of the last two for r^-1.  A lookup raises the
     SpectrumError of its own row, or returns that read-only row.  Any other
-    word v c v^-1 takes its core c's line moved by rho(v), computed again on
-    each lookup; a moved line that over- or underflows raises SpectrumError.
+    word v c v^-1 takes its core c's line moved by rho(v) = rep.product(v)
+    (xi) or rho(v^-1)^T = rep.product(v^-1).T (xi*), products the images
+    keep, read-only, once per conjugator; the moved line itself is computed
+    again on each lookup.  A moved line that over- or underflows, also
+    through a kept product that overflowed, raises SpectrumError on every
+    lookup, with no warning.
     """
     if p.word is None:
         raise DomainError("eigen-sampled curve needs a worded boundary point")
@@ -291,7 +304,7 @@ def _limit_line(cores, rep, dual, p):
         raise SpectrumError(errors[row])
     if v:  # a moved point: v is not empty
         with np.errstate(over="ignore", invalid="ignore"):
-            g = evaluate(rep, v.inverse()).T if dual else evaluate(rep, v)
+            g = rep.product(v.inverse()).T if dual else rep.product(v)
             try:
                 return normalize_rep(g @ lines[row])
             except ValueError:  # over- or underflowed: no line to normalize
@@ -303,14 +316,16 @@ def curve_cr(pair, q):
     """Pairing-quotient cross ratio of a curve pair on q = (x, y, z, t).
 
     Independent of representative scalings by construction; degenerate
-    denominators raise with the offending pairing named.
+    denominators raise with the offending pairing named.  Each pairing is
+    `ndarray.dot` of the two values, the dot product `@` takes on vectors,
+    without its dispatch.
     """
     x, y, z, t = q
     vx, vz = pair.xi(x), pair.xi(z)
     cy, ct = pair.xistar(y), pair.xistar(t)
-    num = (vx @ cy) * (vz @ ct)
-    dzy = vz @ cy
-    dxt = vx @ ct
+    num = vx.dot(cy) * vz.dot(ct)
+    dzy = vz.dot(cy)
+    dxt = vx.dot(ct)
     if abs(dzy) <= PAIRING_TOL:
         raise DomainError("degenerate pairing <xi(z), xi*(y)>")
     if abs(dxt) <= PAIRING_TOL:

@@ -6,17 +6,22 @@ attracting fixed point w+ of a hyperbolic element w of the base 2x2
 representation: sampled (`sample_boundary`), solved (`fixed_points_2x2`),
 or moved by the group (`translate_point`, which carries v w v^-1 without
 solving for it).  A synthetic point has an angle only
-(`BoundaryPoint.from_angle`).  An SL(n,R) representation is always carried
-alongside the base data.  The image of a word is the plain product of its
-letters' matrices (`evaluate`), never rescaled: everything read off it is
-projective or an eigenvalue of a unimodular product.
+(`BoundaryPoint.from_angle`).  Every point's line is read-only, so no
+caller's write reaches a point that a cache handed out.  An SL(n,R)
+representation is always carried alongside the base data.  The image of a
+word is the plain product of its letters' matrices (`evaluate`), never
+rescaled: everything read off it is projective or an eigenvalue of a
+unimodular product.
 
 `sample_boundary` solves its words in one stacked pass: it walks the word
 tree by length, forms each product from its parent prefix's with one
 stacked matmul per length, and solves every fixed point at once
 (`_fixed_point_stack`), with the bytes of the one-matrix path `evaluate`
 and `fixed_points_2x2`, kept for single words and as the tests' reference.
-Only `GeneratorSet.fixed_points` caches solved points.
+A group keeps two things per word, as long as it lives: the product of a
+word it was asked to move by or to solve (`GeneratorSet.product`, read by
+`translate_point`, `fixed_points` and a representation's moved curve
+values) and its solved fixed points (`GeneratorSet.fixed_points`).
 """
 
 import math
@@ -98,10 +103,16 @@ class GeneratorSet:
     the group and word products only multiply.  An empty set, matrices that
     are not square or not all of one shape, and non-finite entries are
     rejected first: LAPACK inverts a NaN matrix without error.
+
+    The group keeps, per word and as long as it lives, the product
+    `product` formed and the fixed points `fixed_points` solved, both
+    read-only.  A caller that forms many products once each, such as a
+    class solve's rotations, calls `evaluate` instead, so they are not kept.
     """
 
     matrices: tuple          # tuple of square float arrays, read-only
     inverses: tuple = field(init=False, repr=False)
+    _products: dict = field(default_factory=dict, init=False, repr=False)
     _fixed: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -132,12 +143,23 @@ class GeneratorSet:
     def letter_matrix(self, x):
         return self.matrices[x - 1] if x > 0 else self.inverses[-x - 1]
 
+    def product(self, word):
+        """`evaluate(self, word)`, formed once per word and kept, read-only,
+        as long as the group lives."""
+        got = self._products.get(word.letters)
+        if got is None:
+            got = evaluate(self, word)
+            got.flags.writeable = False
+            self._products[word.letters] = got
+        return got
+
     def fixed_points(self, word):
         """(w+, w-) of a word w of the 2x2 base group, labelled w and w^-1,
-        solved once per word and kept as long as the group lives."""
+        solved from `product(word)` once per word and kept as long as the
+        group lives."""
         got = self._fixed.get(word.letters)
         if got is None:
-            got = fixed_points_2x2(evaluate(self, word), word=word)
+            got = fixed_points_2x2(self.product(word), word=word)
             self._fixed[word.letters] = got
         return got
 
@@ -316,7 +338,7 @@ class BoundaryPoint:
 
     A worded point is the attracting fixed point w+ of its word w; the
     repelling one of w is (w^-1)+, labelled w^-1.  A synthetic point (angle
-    only) has word = None.
+    only) has word = None.  Every point built here has a read-only line.
     """
 
     word: Word | None
@@ -334,7 +356,10 @@ class BoundaryPoint:
 
 
 def line_of_angle(phi):
-    return np.array([np.cos(phi / 2.0), np.sin(phi / 2.0)])
+    """The unit line at circle coordinate phi, read-only."""
+    v = np.array([np.cos(phi / 2.0), np.sin(phi / 2.0)])
+    v.flags.writeable = False
+    return v
 
 
 def angle_of_line(v):
@@ -380,7 +405,9 @@ def fixed_points_2x2(m, word=None):
         r2 = np.array([lam - m[1, 1], m[1, 0]])
         # norm's own sum; the sqrt stays, as squares can tie differently
         v = r1 if math.sqrt(r1.dot(r1)) >= math.sqrt(r2.dot(r2)) else r2
-        return normalize_rep(v)
+        v = normalize_rep(v)
+        v.flags.writeable = False
+        return v
 
     inv = None if word is None else word.inverse()
     return tuple(BoundaryPoint(word=w, circle_coord=angle_of_line(v), line=v)
@@ -390,12 +417,15 @@ def fixed_points_2x2(m, word=None):
 def translate_point(gens, v_word, point):
     """Image v . p of a boundary point under the group element v.
 
-    The angle is moved by the base matrix of v itself.  A point w+ goes to
-    (v w v^-1)+, which is the word carried.  No fixed point of the
-    conjugated word is solved for.  A synthetic point stays one.
+    The angle is moved by the base matrix of v itself, `gens.product(v)`,
+    which the group keeps.  A point w+ goes to (v w v^-1)+, which is the
+    word carried: one free reduction of the letters of v, w and v^-1, the
+    word v * w * v^-1, as free reduction is confluent.  No fixed point of
+    the conjugated word is solved for.  A synthetic point stays one.
     """
-    phi = act_on_angle(evaluate(gens, v_word), point.circle_coord)
-    conj = None if point.word is None else v_word * point.word * v_word.inverse()
+    phi = act_on_angle(gens.product(v_word), point.circle_coord)
+    conj = None if point.word is None else Word.of(
+        *v_word.letters, *point.word.letters, *v_word.inverse().letters)
     return BoundaryPoint(word=conj, circle_coord=phi, line=line_of_angle(phi))
 
 
@@ -479,6 +509,7 @@ def sample_boundary(gens, max_len):
         fixed_points_2x2(evaluate(gens, w), word=w)
     # row 2i is w+ and row 2i + 1 is w- = (w^-1)+ for word w = words[i]; by
     # angle, then by (length, letters): the rows are in enumeration order
+    lines.flags.writeable = False  # and with it every point's row
     angles, lines = angles.ravel(), lines.reshape(-1, 2)
     phi, size = angles.tolist(), [len(w) for w in words for _ in (0, 1)]
     kept = []

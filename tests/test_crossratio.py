@@ -8,7 +8,7 @@ import pytest
 
 from crlab import crossratio, surfgrp
 from crlab.crossratio import (
-    CHECK_TOL, DRAW_TRIES, CurvePair, DomainError, check_axioms,
+    CHECK_TOL, DRAW_TRIES, PAIRING_TOL, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr, embed_from_cr,
     flow_from_cr, period, representation_pair, triple_ratio, veronese_pair,
@@ -246,14 +246,25 @@ class TestCurveCrossRatio:
                         assert str(err.value) == want[w], (w, p.word)
 
     def test_overflowing_move_fails_on_its_own_side(self, octagon, sample_l2,
-                                                    sym_reps):
+                                                    sym_reps, monkeypatch):
         # generator 1 mapped to diag(1e200, 2, 1): the L = 2 points c'.a'
         # and a.c moved twice by a have the words a.a.c'.a'.a'.a' and
         # a.a.a.c.a'.a', and rho(a.a) overflows the moved xi to inf, while
         # rho(a.a)^-T moves xi* to a finite line.  Only xi raises, as a
-        # SpectrumError, with no warning
+        # SpectrumError, with no warning, on every lookup, though rho(a.a)
+        # is formed once and kept
         images = (np.diag([1e200, 2.0, 1.0]),) + sym_reps[3][1:]
         pair = representation_pair(octagon, images, 3)
+        rep = pair.xi_fn.args[1]
+        formed = []
+        real_evaluate = surfgrp.evaluate
+
+        def counted(gens, word):
+            if gens is rep:
+                formed.append(word.letters)
+            return real_evaluate(gens, word)
+
+        monkeypatch.setattr(surfgrp, "evaluate", counted)
         a = Word.of(1)
         points = [p for p in sample_l2.points
                   if p.word.letters in ((-3, -1), (1, 3))]
@@ -264,10 +275,13 @@ class TestCurveCrossRatio:
             assert v.letters == (1, 1)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(SpectrumError, match="zero or not finite"):
-                    pair.xi(q)
-                moved = evaluate(GeneratorSet(images), v.inverse()).T @ pair.xistar(p)
-                assert np.array_equal(pair.xistar(q), normalize_rep(moved))
+                for _ in range(3):
+                    with pytest.raises(SpectrumError, match="zero or not finite"):
+                        pair.xi(q)
+                    moved = evaluate(GeneratorSet(images), v.inverse()).T @ pair.xistar(p)
+                    assert np.array_equal(pair.xistar(q), normalize_rep(moved))
+        assert sorted(formed) == [(-1, -1), (1, 1)]
+        assert not np.isfinite(rep.product(Word.of(1, 1))).all()
 
     def test_word_class_costs_one_stacked_eig(self, octagon, sample_l2,
                                               sym_reps, monkeypatch):
@@ -502,6 +516,104 @@ class TestCurveCrossRatio:
                 v[:] = 0.0
                 assert fn(q).tobytes() == before
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_moved_values_keep_one_product_per_conjugator(
+            self, octagon, sample_l2, monkeypatch, n):
+        # a moved value is rho(v) (or rho(v^-1)^T) times its core's value,
+        # with the bytes of a product formed on the spot, but each distinct
+        # conjugator's product is formed once and kept read-only: at every
+        # signed letter times L = 2 point, and at period's moved points
+        images = tuple(sym_power_rep(n, m) for m in octagon.matrices)
+        pair = representation_pair(octagon, images, n)
+        rep = pair.xi_fn.args[1]
+        formed = []
+        real_evaluate = surfgrp.evaluate
+
+        def counted(gens, word):
+            # the images' kept products only: the class solves call
+            # crossratio's evaluate, which this does not patch
+            if gens is rep:
+                formed.append(word.letters)
+            return real_evaluate(gens, word)
+
+        monkeypatch.setattr(surfgrp, "evaluate", counted)
+        letters = [Word.of(x) for x in range(-4, 5) if x]
+        moved = [translate_point(octagon, g, p)
+                 for g in letters for p in sample_l2.points]
+        moved += [translate_point(octagon, w, y)
+                  for w in enumerate_words(octagon, 2)[::5]
+                  for y in sample_l2.points[::9]]
+        conjugators = set()
+        moved = [q for q in moved if conjugate_split(q.word)[0].letters]
+        for _ in range(2):
+            for q in moved:
+                v, c = conjugate_split(q.word)
+                core, _ = octagon.fixed_points(c)
+                xi = normalize_rep(evaluate(rep, v) @ pair.xi(core))
+                xistar = normalize_rep(evaluate(rep, v.inverse()).T @ pair.xistar(core))
+                assert pair.xi(q).tobytes() == xi.tobytes(), q.word
+                assert pair.xistar(q).tobytes() == xistar.tobytes(), q.word
+                conjugators |= {v.letters, v.inverse().letters}
+        assert len(formed) == len(set(formed)) and set(formed) == conjugators
+        for v in formed:
+            m = rep.product(Word(v))
+            assert m.tobytes() == evaluate(rep, Word(v)).tobytes()
+            assert rep.product(Word(v)) is m and not m.flags.writeable
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_curve_cr_matches_matmul_reference(self, octagon, sample_l2, n):
+        # curve_cr's ndarray.dot pairings are the products @ takes, bit for
+        # bit, on kept, moved and closed-form values
+        images = tuple(sym_power_rep(n, m) for m in octagon.matrices)
+        rng = np.random.default_rng(n)
+        moved = [translate_point(octagon, Word.of(g), p)
+                 for g in (1, -2, 3) for p in sample_l2.points]
+        sample = SampleSet(points=(*sample_l2.points, *moved), group=octagon)
+        for pair in (representation_pair(octagon, images, n), veronese_pair(n)):
+            for _ in range(100):
+                x, y, z, t = draw_points(sample, rng, 4)
+                vx, vz, cy, ct = pair.xi(x), pair.xi(z), pair.xistar(y), pair.xistar(t)
+                dzy, dxt = vz @ cy, vx @ ct
+                if min(abs(dzy), abs(dxt)) <= PAIRING_TOL:
+                    with pytest.raises(DomainError, match="degenerate pairing"):
+                        curve_cr(pair, (x, y, z, t))
+                    continue
+                want = ((vx @ cy) * (vz @ ct)) / (dzy * dxt)
+                assert curve_cr(pair, (x, y, z, t)).hex() == float(want).hex()
+
+    def test_veronese_values_keyed_on_line_bytes(self, octagon, monkeypatch):
+        # a Veronese value depends on the line alone: two points with the
+        # same line bytes share one computed value, and a line that differs
+        # from another only in the sign of a zero gets its own
+        counts = {"veronese": 0, "veronese_dual": 0}
+
+        def counted(fn):
+            def wrapper(n, p):
+                counts[fn.__name__] += 1
+                return fn(n, p)
+            return wrapper
+
+        monkeypatch.setattr(crossratio, "veronese", counted(veronese))
+        monkeypatch.setattr(crossratio, "veronese_dual", counted(veronese_dual))
+        pair = veronese_pair(3)
+        w = Word.of(1, 3)
+        solved = fixed_points_2x2(evaluate(octagon, w), word=w)
+        for p, q in zip(octagon.fixed_points(w), solved):
+            assert p is not q and p.line.tobytes() == q.line.tobytes()
+            assert pair.xi(p) is pair.xi(q) and pair.xistar(p) is pair.xistar(q)
+        assert counts == {"veronese": 2, "veronese_dual": 2}
+        plus, minus = (BoundaryPoint(None, 0.0, np.array([1.0, z]))
+                       for z in (0.0, -0.0))
+        for fn, curve in ((pair.xi, veronese), (pair.xistar, veronese_dual)):
+            got = [fn(p).tobytes() for p in (plus, minus)]
+            assert got == [curve(3, p.line).tobytes() for p in (plus, minus)]
+            assert got[0] != got[1]
+        assert counts == {"veronese": 4, "veronese_dual": 4}
+        # a line held as integers is the float line it equals
+        ints = BoundaryPoint(None, 0.0, np.array([1, 0]))
+        assert pair.xi(ints) is pair.xi(plus) and pair.xistar(ints) is pair.xistar(plus)
+        assert counts == {"veronese": 4, "veronese_dual": 4}
+
     def test_lift_independence(self, octagon, sample_l2, sym_reps):
         pair = representation_pair(octagon, sym_reps[3], 3)
         rng = np.random.default_rng(6)
@@ -643,6 +755,19 @@ class TestPeriods:
         fresh = make_generator_set(octagon.matrices)
         assert period(b, fresh, words[0], y) == want[0]
         assert solves == words + words[:1]
+
+    def test_kept_fixed_points_cannot_be_written(self, octagon, sample_l2):
+        # a write to a kept fixed point's line reached every later period:
+        # after a.line[:] = [1, 0] at (a.c)+ the Veronese period of a.c at
+        # this base point read 4.142 in place of 9.027
+        group = make_generator_set(octagon.matrices)
+        w, y = Word.of(1, 3), sample_l2.points[4]
+        before = period(veronese_pair(3), group, w, y)
+        assert before == pytest.approx(9.0270717197, abs=1e-9)
+        for p in group.fixed_points(w):
+            with pytest.raises(ValueError, match="read-only"):
+                p.line[:] = [1.0, 0.0]
+        assert period(veronese_pair(3), group, w, y) == before
 
     def test_sampled_word_solved_once_by_period(self, octagon, monkeypatch):
         solves = []

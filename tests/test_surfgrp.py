@@ -209,6 +209,37 @@ class TestGeneratorSet:
             with pytest.raises(ValueError, match="read-only"):
                 m[0, 0] = 0.0
 
+    def test_product_is_evaluate_kept(self):
+        # product(w) is evaluate(w) byte for byte, formed once and kept
+        # read-only; fixed_points solves the kept product itself
+        g = octagon_fuchsian()
+        sym = GeneratorSet(tuple(sym_power_rep(4, m) for m in g.matrices))
+        words = [Word(()), *enumerate_words(g, 3),
+                 Word.of(1, 2, -1), Word.of(-3, 4, 4, 3)]
+        for group in (make_generator_set(g.matrices), sym):
+            for w in words:
+                m = group.product(w)
+                assert m.tobytes() == evaluate(group, w).tobytes(), w
+                assert group.product(w) is m and not m.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    m[0, 0] = 0.0
+        solved = []
+
+        def recorded(m, word=None):
+            solved.append(m)
+            return fixed_points_2x2(m, word)
+
+        group = make_generator_set(g.matrices)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surfgrp, "fixed_points_2x2", recorded)
+            for w in words[1:]:
+                got = group.fixed_points(w)
+                want = fixed_points_2x2(evaluate(g, w), word=w)
+                assert [p.line.tobytes() for p in got] == [
+                    p.line.tobytes() for p in want]
+        assert len(solved) == len(words) - 1
+        assert all(m is group.product(w) for m, w in zip(solved, words[1:]))
+
     @pytest.mark.parametrize("mat,message", [
         (np.eye(3), r"needs 2 x 2 matrices, not \(3, 3\)"),
         (np.ones((2, 3)), r"generator 0 has shape \(2, 3\)"),
@@ -505,6 +536,33 @@ class TestSampleBoundary:
                 assert circular_gap(q.circle_coord, want.circle_coord) < 1e-11
                 assert q.word == want.word == conj
                 np.testing.assert_array_equal(q.line, line_of_angle(q.circle_coord))
+
+    def test_translate_word_is_one_free_reduction(self, sample_l2):
+        # translate_point reduces the letters of v, w and v^-1 at once; by
+        # confluence that is the word v * w * v^-1, also where v cancels
+        # into w or v^-1 into it, for every reduced v of length <= 2
+        g = octagon_fuchsian()
+        letters = [x for x in range(-4, 5) if x]
+        movers = [Word.of(x) for x in letters]
+        movers += [Word.of(x, y) for x in letters for y in letters if x != -y]
+        for v in movers:
+            for p in sample_l2.points:
+                for q in (p, translate_point(g, Word.of(-p.word.letters[0]), p)):
+                    assert translate_point(g, v, q).word == v * q.word * v.inverse()
+
+    def test_point_lines_are_read_only(self, sample_l2):
+        # a caller's write to a returned point's line reached every later
+        # use of it, for a kept fixed point that of every later caller
+        g = octagon_fuchsian()
+        w = Word.of(1, 3)
+        points = [*sample_l2.points, *fixed_points_2x2(evaluate(g, w), word=w),
+                  *g.fixed_points(w), BoundaryPoint.from_angle(1.0),
+                  translate_point(g, Word.of(2), sample_l2.points[0]),
+                  translate_point(g, Word.of(2), BoundaryPoint.from_angle(1.0))]
+        for p in points:
+            with pytest.raises(ValueError, match="read-only"):
+                p.line[:] = [1.0, 0.0]
+        assert not line_of_angle(0.5).flags.writeable
 
     def test_translate_synthetic_point_same_bytes(self):
         g = octagon_fuchsian()
