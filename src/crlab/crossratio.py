@@ -532,7 +532,7 @@ def check_invariance(b, sample, count, seed=0, min_gap=DEFAULT_MIN_GAP):
                    lambda k: (gs[k], tuple(p.circle_coord for p in drawn[k])))
 
 
-# -- periods, triple ratios, projective-line relations ------------------------
+# -- periods, projective-line relations ---------------------------------------
 
 def period(b, gens, w, y, y2=None):
     """log |b(g-, g y, g+, y)| for the element g of word w; y-independent.
@@ -554,15 +554,6 @@ def period(b, gens, w, y, y2=None):
             f"period depends on base point: {vals[0]!r} vs {vals[1]!r}"
         )
     return vals[0]
-
-
-def triple_ratio(b, x, y, z, t):
-    """b(x,y,z,t) b(z,x,y,t) b(y,z,x,t).
-
-    For a cross ratio the product does not depend on t; comparing two
-    values at different t tests that.
-    """
-    return b(x, y, z, t) * b(z, x, y, t) * b(y, z, x, t)
 
 
 # (f,v,e,u), (u,v,e,f) as positions in the drawn tuple (f, v, e, u)

@@ -164,13 +164,3 @@ def dominant_lines(stack):
     full.flags.writeable = False
     return full, _MESSAGES[code].tolist()
 
-
-def spanning_det(vectors):
-    """Determinant of stacked representatives with its Hadamard scale.
-
-    Returns (det, scale); |det|/scale is a dimensionless measure of how far
-    the family is from dropping rank.
-    """
-    m = np.asarray(vectors, float)
-    scale = float(np.prod(np.linalg.norm(m, axis=1)))
-    return float(np.linalg.det(m)), scale

@@ -310,8 +310,8 @@ def evaluate(gens, word):
     A new array each call: it starts from a copy of the first letter's
     matrix, not from the identity, which only the empty word returns.
 
-    `gens` is the base group's 2x2 matrices, or a GeneratorSet of SL(n,R)
-    images for a representation.
+    `gens` is a GeneratorSet: the base group's 2x2 matrices, or the SL(n,R)
+    images of a representation.
 
     The product is not rescaled.  Limit-curve values, fixed points and
     eigenvalue ratios are projective, so its scale never enters them, and

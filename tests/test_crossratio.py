@@ -11,7 +11,7 @@ from crlab.crossratio import (
     CHECK_TOL, DRAW_TRIES, PAIRING_TOL, CurvePair, DomainError, check_axioms,
     check_invariance, check_relation12, check_relation13, classical_cr,
     curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr, embed_from_cr,
-    flow_from_cr, period, representation_pair, triple_ratio, veronese_pair,
+    flow_from_cr, period, representation_pair, veronese_pair,
 )
 from crlab.projlin import (
     SpectrumError, dominant_lines, normalize_rep, sym_power_rep, veronese,
@@ -823,43 +823,26 @@ class TestPeriods:
 
 
 class TestTripleRatio:
-    def test_classical_value(self):
-        pts = [BoundaryPoint.from_angle(2 * np.arctan(v))
-               for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
-        x, y, z, t3, t5 = pts
-        b = classical_cr_fn()
-        v = triple_ratio(b, x, y, z, t3)
-        assert v == pytest.approx(-1.0, rel=1e-10)
-        # the two values agree well inside CHECK_TOL
-        assert abs(v - triple_ratio(b, x, y, z, t5)) < 1e-10
-
-    def test_t_independence_fuchsian(self, octagon, sample_l2, sym_reps):
-        b = rep_cross_ratio(octagon, sym_reps, 3)
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            x, y, z, t, t2 = draw_points(sample_l2, rng, 5)
-            v, v2 = triple_ratio(b, x, y, z, t), triple_ratio(b, x, y, z, t2)
-            assert abs(v - v2) <= CHECK_TOL * max(1.0, abs(v), abs(v2))
-
-    def test_t_dependence_flagged(self):
+    def test_t_dependence_flagged(self, sample_l2):
+        # a factor in the last point alone makes the triple ratio
+        # b(x,y,z,t) b(z,x,y,t) b(y,z,x,t) depend on t; check_axioms flags it
+        # through the two cocycle identities that t-independence rests on
         classical = classical_cr_fn()
 
         def corrupted(x, y, z, t):
             return classical(x, y, z, t) * (1.0 + t.circle_coord)
 
+        def triple(x, y, z, t):
+            return b(x, y, z, t) * b(z, x, y, t) * b(y, z, x, t)
+
         b = CrossRatioFn(evaluator=corrupted, label="corrupted")
         x, y, z, t3, t5 = [BoundaryPoint.from_angle(2 * np.arctan(v))
                            for v in (0.0, 1.0, 2.0, 3.0, 5.0)]
-        v, v2 = triple_ratio(b, x, y, z, t3), triple_ratio(b, x, y, z, t5)
-        assert abs(v - v2) > 0.1
-
-    def test_cyclic_invariance(self, sample_l2):
-        b = classical_cr_fn()
-        rng = np.random.default_rng(9)
-        x, y, z, t, _ = draw_points(sample_l2, rng, 5)
-        v1 = triple_ratio(b, x, y, z, t)
-        v2 = triple_ratio(b, y, z, x, t)
-        assert v1 == pytest.approx(v2, rel=1e-10)
+        assert abs(triple(x, y, z, t3) - triple(x, y, z, t5)) > 0.1
+        rep = check_axioms(b, sample_l2, 100, seed=2)
+        assert rep["max_violation"] > 0.05
+        assert rep["per_identity"]["cocycle-zw"] > 0.5
+        assert rep["per_identity"]["cocycle-wy"] > 0.5
 
 
 class TestProjectiveLineRelations:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from crlab.projlin import (
-    dominant_lines, normalize_rep, normalize_rows, spanning_det, sym_power_rep,
-    veronese, veronese_dual,
+    dominant_lines, normalize_rep, normalize_rows, sym_power_rep, veronese,
+    veronese_dual,
 )
 from crlab.surfgrp import GeneratorSet, Word, conjugate_split, evaluate
 
@@ -659,12 +659,13 @@ class TestHyperconvexity:
                 angles = np.sort(rng.uniform(0, np.pi, size=n))
                 if np.min(np.diff(angles)) < 0.05:
                     continue
-                vecs = [
+                vecs = np.array([
                     veronese(n, np.array([np.cos(a), np.sin(a)]))
                     for a in angles
-                ]
-                det, scale = spanning_det(vecs)
-                assert abs(det) / scale > 1e-8
+                ])
+                # |det| over the product of the row norms (Hadamard's bound)
+                det = abs(np.linalg.det(vecs))
+                assert det / np.prod(np.linalg.norm(vecs, axis=1)) > 1e-8
 
     def test_flag_dimensions(self):
         # the osculating flag of the moment curve has full dimension at
@@ -673,5 +674,5 @@ class TestHyperconvexity:
         jet = moment_jet(5, p, np.array([-2.0, 1.0]))
         for k in range(1, 6):
             assert np.linalg.matrix_rank(jet[:k]) == k
-        det, scale = spanning_det(jet)
-        assert abs(det) / scale > 1e-8
+        det = abs(np.linalg.det(jet))
+        assert det / np.prod(np.linalg.norm(jet, axis=1)) > 1e-8
