@@ -13,7 +13,8 @@ that cannot be computed raises on its own side only, so a value of one
 never fails with the other.  A representation's pair takes xi and xi* at
 both fixed points of every cyclically reduced word of a conjugacy class
 (the rotations of a word and of its inverse) from one stacked eigen solve,
-cached per word.
+cached per word.  `check_rank` reads the rank-excess half of the paper's
+rank-n condition off one kernel of a pair's table.
 
 A check takes any cross ratio with a `label` that is evaluated on four
 boundary points, and also on tuples of indices into a SampleSet with the
@@ -231,11 +232,14 @@ def representation_pair(gens, rep, n):
     of c^-1), solves xi and xi* at both fixed points of all of them, from
     rho(r) and rho(r^-1) of every distinct rotation r of c, in one
     `dominant_lines` call: one np.linalg.eig over 4m matrices for a c of
-    length m, fewer for a proper power.  The pair's one cache
-    (`_limit_line`) keeps that solve's one array of lines and its list of
-    messages, and for each r and r^-1 where its two rows are; the rotation
-    products are formed for that solve alone and not kept.  A kept value is
-    a read-only row of that array; a moved one is a new array.  A row with
+    length m, fewer for a proper power.  Each product is `evaluate`'s, and
+    they are written into one preallocated (4m, n, n) stack, which is
+    handed to the solve as it is.  The pair's one cache (`_limit_line`)
+    keeps that solve's one array of lines and its list of messages, and for
+    each r and r^-1 where its two rows are; the rotation products are formed
+    for that solve alone and not kept.  A kept value is a read-only row of
+    that array; a moved one is a new array, `ndarray.dot` of the kept
+    product and the core's row, with the bytes of `@`.  A row with
     no dominant eigenline (NaN) raises its own SpectrumError on every lookup,
     so a value of one side never fails with the other.  `rep` has one n x n
     image per generator of `gens`, with finite entries, and n >= 2, checked
@@ -262,11 +266,15 @@ def _limit_line(cores, rep, dual, p):
     rho(w) in it, followed by that of rho(w^-1)^T, xi and xi* at w+.  A
     miss of a core c solves (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T) of
     every distinct rotation r of c in one stack, and keeps the rows of the
-    first two for r and of the last two for r^-1.  A lookup raises the
-    SpectrumError of its own row, or returns that read-only row.  Any other
-    word v c v^-1 takes its core c's line moved by rho(v) = rep.product(v)
-    (xi) or rho(v^-1)^T = rep.product(v^-1).T (xi*), products the images
-    keep, read-only, once per conjugator; the moved line itself is computed
+    first two for r and of the last two for r^-1.  A rotation is kept as its
+    letter tuple, and a Word is built only for `evaluate`; the four
+    matrices of each rotation are written straight into one preallocated
+    (4m, n, n) stack, with the bytes a list copied by np.array would have.
+    A lookup raises the SpectrumError of its own row, or returns that
+    read-only row.  Any other word v c v^-1 takes its core c's line moved by
+    rho(v) = rep.product(v) (xi) or rho(v^-1)^T = rep.product(v^-1).T
+    (xi*), products the images keep, read-only, once per conjugator; the
+    moved line, `ndarray.dot` of that product and the row, is computed
     again on each lookup.  A moved line that over- or underflows, also
     through a kept product that overflowed, raises SpectrumError on every
     lookup, with no warning.
@@ -280,21 +288,25 @@ def _limit_line(cores, rep, dual, p):
         core = cores.get(c.letters)
         if core is None:
             ls = c.letters  # () is the one rotation of the empty word
-            rotations = [(r, r.inverse()) for r in map(Word, dict.fromkeys(
-                ls[i:] + ls[:i] for i in range(len(ls) or 1)))]
-            stack = []
+            rotations = [(r, tuple(-x for x in reversed(r))) for r in
+                         dict.fromkeys(ls[i:] + ls[:i] for i in range(len(ls) or 1))]
+            n = len(rep.matrices[0])
+            stack = np.empty((4 * len(rotations), n, n))
             # word products of inverses, not numerical inverses: word images
             # can be far too ill-conditioned to invert in floats.  A rotation
             # nobody asked for may overflow; that shows as its own rows'
             # "matrix is not finite", not as a warning to whoever asked
             with np.errstate(over="ignore", invalid="ignore"):
-                for r, ri in rotations:
-                    m, mi = evaluate(rep, r), evaluate(rep, ri)
-                    stack += (m, mi.T, mi, m.T)
-            lines, errors = dominant_lines(np.array(stack))
+                for k, (r, ri) in enumerate(rotations):
+                    m, mi = evaluate(rep, Word(r)), evaluate(rep, Word(ri))
+                    stack[4 * k] = m
+                    stack[4 * k + 1] = mi.T
+                    stack[4 * k + 2] = mi
+                    stack[4 * k + 3] = m.T
+            lines, errors = dominant_lines(stack)
             for k, (r, ri) in enumerate(rotations):
-                cores[r.letters] = (lines, errors, 4 * k)
-                cores[ri.letters] = (lines, errors, 4 * k + 2)
+                cores[r] = (lines, errors, 4 * k)
+                cores[ri] = (lines, errors, 4 * k + 2)
             core = cores[ls]
     lines, errors, row = core
     row += dual
@@ -306,7 +318,7 @@ def _limit_line(cores, rep, dual, p):
         with np.errstate(over="ignore", invalid="ignore"):
             g = rep.product(v.inverse()).T if dual else rep.product(v)
             try:
-                return normalize_rep(g @ lines[row])
+                return normalize_rep(g.dot(lines[row]))
             except ValueError:  # over- or underflowed: no line to normalize
                 raise SpectrumError("moved value is zero or not finite") from None
     return lines[row]
@@ -598,6 +610,68 @@ def embed_from_cr(b, w, e, u, sample, count, seed=0):
               for row in idx.tolist()]
     viol = {"embedding-reproduction": _rel(np.array(images, float), v)}
     return fmap, _report("embedding-reproduction", b, viol, _witness(sample, idx))
+
+
+# -- the rank-n condition -------------------------------------------------------
+
+def _gaps_to(angles, a):
+    """`circular_gap` of each angle of an array to the angle a."""
+    d = np.abs(angles - a) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+def check_rank(b, sample, n):
+    """The rank-excess half of the paper's rank-n condition for a curve pair.
+
+    Every determinant chi^p of p x p cross-ratio values b(x_i, y_j, e0, f0)
+    is a p x p minor of one kernel over the sample, K[x, y] = b(x, y, e0,
+    f0), and b has rank at most n exactly when every chi^(n+1) vanishes,
+    that is when K has rank at most n.  From `b.table(sample)`:
+
+        K = (Xi Xi*^T) <xi(e0), xi*(f0)> / (<xi(x), xi*(f0)> <xi(e0), xi*(y)>)
+
+    over the kept points x and y.  The rule is fixed in code: e0 and f0 are
+    the sample points nearest the angles 0.3 and 0.3 + pi, the points within
+    0.15 rad of either are dropped, and K, whose rank does not change when
+    its rows and columns are scaled, gets three rounds of unit row norms
+    followed by unit column norms before `np.linalg.svd` reads its singular
+    values s_1 >= s_2 >= ...  K is formed on each call and not kept.
+
+    The one identity is "rank-excess", s_(n+1) / s_1 against CHECK_TOL; its
+    witness is (e0, f0) as words.  The fields are `sigma_n` (s_n / s_1,
+    which is no margin of the check: the rank is n rather than less when
+    it stands clear of rounding), `kept` (the number of kept points), and
+    e0 and f0 as words.  The sign clause of the rank-n condition is not
+    checked here.  A NaN table row among the values K needs raises
+    DomainError naming its word, as does a degenerate pairing with xi(e0)
+    or xi*(f0).
+    """
+    # the rule was fixed before any margin was read
+    angles = sample.angles()
+    e, f = (int(np.argmin(_gaps_to(angles, a))) for a in (0.3, 0.3 + math.pi))
+    kept = np.flatnonzero((_gaps_to(angles, angles[e]) > 0.15)
+                          & (_gaps_to(angles, angles[f]) > 0.15))
+    if not 1 <= n < len(kept):
+        raise DomainError(f"rank {n} needs 1 <= n < kept points, {len(kept)}")
+    xi, xistar = b.table(sample)
+    for name, arr, rows in (("xi", xi, np.append(kept, e)),
+                            ("xi*", xistar, np.append(kept, f))):
+        bad = np.isnan(arr[rows]).any(axis=1)
+        if bad.any():
+            word = sample.points[rows[bad.argmax()]].word
+            raise DomainError(f"rank kernel needs {name} at {word}, which has no value")
+    x_f, e_y = xi[kept] @ xistar[f], xistar[kept] @ xi[e]
+    if min(np.abs(x_f).min(), np.abs(e_y).min()) <= PAIRING_TOL:
+        raise DomainError("degenerate pairing with xi(e0) or xi*(f0) in the rank kernel")
+    k = (xi[kept] @ xistar[kept].T) * xi[e].dot(xistar[f]) / np.outer(x_f, e_y)
+    for _ in range(3):
+        k /= np.linalg.norm(k, axis=1, keepdims=True)
+        k /= np.linalg.norm(k, axis=0, keepdims=True)
+    s = np.linalg.svd(k, compute_uv=False)
+    e0, f0 = str(sample.points[e].word), str(sample.points[f].word)
+    return _report("rank", b, {"rank-excess": np.array([s[n] / s[0]])},
+                   lambda _: (e0, f0), sigma_n=float(s[n - 1] / s[0]),
+                   kept=len(kept), e0=e0, f0=f0)
 
 
 # -- flow generated by a cross ratio ------------------------------------------

@@ -140,27 +140,39 @@ def dominant_lines(stack):
     both tests, the `normalize_rows` call and the messages run on the whole
     stack at once.  eig solves a stack matrix by matrix, so a row has the
     same bytes as the matrix solved alone, in a stack of one.
+
+    eig runs on the whole stack first: it tests finiteness itself and
+    rejects a stack with one inf or NaN in it, and only then is the finite
+    mask formed and the finite matrices solved (an error of an all-finite
+    stack is eig's own, and raised again).  A real spectrum, which eig
+    returns as a real array, skips the not-real test.
     """
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    every = finite.all()
-    w, v = np.linalg.eig(stack if every else stack[finite])
+    try:
+        w, v = np.linalg.eig(stack)
+        finite = None
+    except np.linalg.LinAlgError:
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if finite.all():
+            raise
+    if finite is not None:
+        w, v = np.linalg.eig(stack[finite])
     mod = np.abs(w)
     rows, k = np.arange(len(w)), mod.argmax(axis=1)
     top = mod[rows, k]
-    not_real = abs(w.imag[rows, k]) > 1e-9 * top
+    not_real = np.iscomplexobj(w) and abs(w.imag[rows, k]) > 1e-9 * top
     not_simple = (mod >= (1 - 1e-9) * top[:, None]).sum(axis=1) > 1
     # the picked columns, copied to contiguous rows for normalize_rows' sum
     lines, ok = normalize_rows(np.ascontiguousarray(v[rows, :, k].real))
     failed = not_real | not_simple
     if not ok.all() and not (ok | failed).all():  # normalize_rep's own error
         raise ValueError("zero or non-finite representative vector")
-    if every and not failed.any():  # the common case: a line for each matrix
+    if finite is None and not failed.any():  # the common case: a line each
         lines.flags.writeable = False
         return lines, [None] * len(stack)
     code = np.ones(len(stack), dtype=np.intp)  # into _MESSAGES
-    code[finite] = np.where(not_real, 2, 3 * not_simple)
+    code[slice(None) if finite is None else finite] = np.where(
+        not_real, 2, 3 * not_simple)
     full = np.full(stack.shape[:2], np.nan)
     full[code == 0] = lines[~failed]
     full.flags.writeable = False
     return full, _MESSAGES[code].tolist()
-

@@ -307,8 +307,12 @@ def _tree_products(gens, max_len):
 def evaluate(gens, word):
     """Plain ordered product of generator images along a word.
 
-    A new array each call: it starts from a copy of the first letter's
-    matrix, not from the identity, which only the empty word returns.
+    A new array each call.  The product is a left-to-right `ndarray.dot`
+    chain from the first letter's matrix, not from the identity, which only
+    the empty word returns; `dot` makes the BLAS call the `@` chain makes,
+    with the same bytes, without the gufunc's dispatch.  Only a one-letter
+    word is a copy of its letter's matrix; a longer word's first product is
+    already a new array.
 
     `gens` is a GeneratorSet: the base group's 2x2 matrices, or the SL(n,R)
     images of a representation.
@@ -321,12 +325,15 @@ def evaluate(gens, word):
     cancellation error, and fails outright on an ill-conditioned product
     whose determinant rounds to 0.
     """
-    if not word.letters:
-        return np.eye(gens.matrices[0].shape[0])
-    first, *rest = word.letters
-    acc = gens.letter_matrix(first).copy()
-    for x in rest:
-        acc = acc @ gens.letter_matrix(x)
+    ls, mats, invs = word.letters, gens.matrices, gens.inverses
+    if not ls:
+        return np.eye(mats[0].shape[0])
+    x = ls[0]
+    acc = mats[x - 1] if x > 0 else invs[-x - 1]
+    if len(ls) == 1:
+        return acc.copy()
+    for x in ls[1:]:
+        acc = acc.dot(mats[x - 1] if x > 0 else invs[-x - 1])
     return acc
 
 
@@ -374,7 +381,7 @@ def circular_gap(a, b):
 
 
 def act_on_angle(m, phi):
-    return angle_of_line(np.asarray(m, float) @ line_of_angle(phi))
+    return angle_of_line(np.asarray(m, float).dot(line_of_angle(phi)))
 
 
 def fixed_points_2x2(m, word=None):

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,7 +11,7 @@ import pytest
 from crlab import crossratio, surfgrp
 from crlab.crossratio import (
     CHECK_TOL, DRAW_TRIES, PAIRING_TOL, CurvePair, DomainError, check_axioms,
-    check_invariance, check_relation12, check_relation13, classical_cr,
+    check_invariance, check_rank, check_relation12, check_relation13, classical_cr,
     curve_cr, curve_cr_fn, draw_indices, draw_points, dual_cr, embed_from_cr,
     flow_from_cr, period, representation_pair, veronese_pair,
 )
@@ -19,8 +21,9 @@ from crlab.projlin import (
 )
 from crlab.surfgrp import (
     TWO_PI, BoundaryPoint, GeneratorSet, GroupDataError, SampleSet, Word,
-    circular_gap, conjugate_split, enumerate_words, evaluate, fixed_points_2x2,
-    make_generator_set, sample_boundary, translate_point,
+    act_on_angle, angle_of_line, circular_gap, conjugate_split, enumerate_words,
+    evaluate, fixed_points_2x2, free_reduce, line_of_angle, make_generator_set,
+    sample_boundary, translate_point,
 )
 
 
@@ -629,6 +632,107 @@ class TestCurveCrossRatio:
                 curve_cr(pair, tuple(pts)), rel=1e-12)
 
 
+def matmul_chain(gens, word):
+    """`evaluate` as an `@` chain: a copy of the first letter's matrix times
+    each later letter's, the reference for its `ndarray.dot` chain."""
+    if not word.letters:
+        return np.eye(gens.matrices[0].shape[0])
+    first, *rest = word.letters
+    acc = gens.letter_matrix(first).copy()
+    for x in rest:
+        acc = acc @ gens.letter_matrix(x)
+    return acc
+
+
+def reduced_words(rank, max_len):
+    """Every freely reduced nontrivial word of length <= max_len, not only
+    the cyclically reduced ones: one-letter words, proper powers and
+    conjugates v c v^-1 included."""
+    letters = [x for x in range(-rank, rank + 1) if x]
+    return [Word(w) for k in range(1, max_len + 1)
+            for w in itertools.product(letters, repeat=k) if free_reduce(w) == w]
+
+
+def sym_images(octagon, n):
+    return GeneratorSet(tuple(sym_power_rep(n, m) for m in octagon.matrices))
+
+
+class TestDotMatchesMatmul:
+    """The point path forms its small products with `ndarray.dot`; every one
+    has the bytes of the `@` it replaced, on Sym^(n-1) images, n = 2..9, and
+    every word of length <= 4."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_evaluate_is_the_matmul_chain(self, octagon, n):
+        rep = sym_images(octagon, n)
+        for w in reduced_words(octagon.rank, 4):
+            got = evaluate(rep, w)
+            assert got.tobytes() == matmul_chain(rep, w).tobytes(), w
+            assert got.flags.writeable and got.flags.c_contiguous, w
+        # a one-letter word is a copy of its letter's matrix
+        for x in (1, -3):
+            got = evaluate(rep, Word.of(x))
+            assert got is not rep.letter_matrix(x) and got.flags.writeable
+            assert got.tobytes() == rep.letter_matrix(x).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_moved_values_are_matmul(self, octagon, n):
+        # xi and xi* at w+ for w = v c v^-1 are normalize_rep(g @ line) of
+        # the core's value, with g = rho(v) and rho(v^-1)^T
+        pair = representation_pair(octagon, sym_images(octagon, n).matrices, n)
+        rep = pair.xi_fn.args[1]
+        moved = 0
+        for w in reduced_words(octagon.rank, 4):
+            v, c = conjugate_split(w)
+            if not v.letters:
+                continue
+            p, core = octagon.fixed_points(w)[0], octagon.fixed_points(c)[0]
+            xi = normalize_rep(matmul_chain(rep, v) @ pair.xi(core))
+            xistar = normalize_rep(matmul_chain(rep, v.inverse()).T @ pair.xistar(core))
+            assert pair.xi(p).tobytes() == xi.tobytes(), w
+            assert pair.xistar(p).tobytes() == xistar.tobytes(), w
+            moved += 1
+        assert moved == 48 + 336  # the words x.y.x^-1 and x.y.z.x^-1
+
+    def test_act_on_angle_is_matmul(self, octagon, sample_l2):
+        angles = [0.0, *sample_l2.angles()[::9].tolist()]
+        for w in reduced_words(octagon.rank, 4):
+            m = evaluate(octagon, w)
+            for phi in angles:
+                want = angle_of_line(m @ line_of_angle(phi))
+                assert act_on_angle(m, phi).hex() == want.hex(), (w, phi)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_class_stack_is_the_list_build(self, octagon, n, monkeypatch):
+        # each class solve's preallocated stack against np.array of the list
+        # (rho(r), rho(r^-1)^T, rho(r^-1), rho(r)^T, ...) of @ chains
+        stacks = []
+
+        def captured(stack):
+            stacks.append(stack)
+            return dominant_lines(stack)
+
+        monkeypatch.setattr(crossratio, "dominant_lines", captured)
+        pair = representation_pair(octagon, sym_images(octagon, n).matrices, n)
+        rep = pair.xi_fn.args[1]
+        solved = 0
+        for c in enumerate_words(octagon, 4):
+            before = len(stacks)
+            pair.xi(octagon.fixed_points(c)[0])
+            if len(stacks) == before:
+                continue  # a rotation of a class solved before
+            ls, want = c.letters, []
+            for r in map(Word, dict.fromkeys(ls[i:] + ls[:i] for i in range(len(ls)))):
+                m, mi = matmul_chain(rep, r), matmul_chain(rep, r.inverse())
+                want += (m, mi.T, mi, m.T)
+            want = np.array(want)
+            (got,) = stacks[before:]
+            assert got.shape == want.shape and got.dtype == want.dtype, c
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), c
+            solved += 1
+        assert solved == len(stacks) > 100
+
+
 def sine_distance(v, w):
     """Projective distance |v - (v.w) w| of the unit representatives."""
     v = v / np.linalg.norm(v)
@@ -843,6 +947,100 @@ class TestTripleRatio:
         assert rep["max_violation"] > 0.05
         assert rep["per_identity"]["cocycle-zw"] > 0.5
         assert rep["per_identity"]["cocycle-wy"] > 0.5
+
+
+def rank_rule(sample):
+    """`check_rank`'s e0, f0 and kept points, one point at a time: the
+    sample points nearest 0.3 and 0.3 + pi, and the points more than 0.15
+    rad from both."""
+    phi = [p.circle_coord for p in sample.points]
+    e, f = (min(range(len(phi)), key=lambda i: circular_gap(phi[i], a))
+            for a in (0.3, 0.3 + np.pi))
+    kept = [i for i, a in enumerate(phi)
+            if min(circular_gap(a, phi[e]), circular_gap(a, phi[f])) > 0.15]
+    return e, f, kept
+
+
+class TestRank:
+    """The rank-excess half of the rank-n condition (`check_rank`), on the
+    L = 3 sample, with the kernel rule fixed in code."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_sym_powers_have_rank_n(self, octagon, sample_l3, n):
+        e, f, kept = rank_rule(sample_l3)
+        e0, f0 = (str(sample_l3.points[i].word) for i in (e, f))
+        assert (e0, f0, len(kept)) == ("d.c'.c'", "b.a'.a'", 376)
+        images = [sym_power_rep(n, m) for m in octagon.matrices]
+        for b in (representation_pair(octagon, images, n), veronese_pair(n)):
+            rep = check_rank(b, sample_l3, n)
+            assert rep["check"] == "rank" and rep["label"] == b.label
+            assert rep["passed"] and rep["tuples"] == 1
+            assert rep["max_violation"] == rep["per_identity"]["rank-excess"] < CHECK_TOL
+            assert rep["sigma_n"] > 1e-4
+            assert (rep["kept"], rep["e0"], rep["f0"]) == (376, e0, f0)
+            assert rep["argmax"] == {"rank-excess": (e0, f0)}
+            # rank n, not less: at n - 1 the excess is sigma_n / sigma_1
+            less = check_rank(b, sample_l3, n - 1) if n > 2 else None
+            if less is not None:
+                assert not less["passed"]
+                assert less["max_violation"] == rep["sigma_n"]
+            # the kernel is not kept on the pair
+            assert set(vars(b)) == {"n", "xi_fn", "xistar_fn", "label", "_tables"}
+            assert list(b._tables) == [sample_l3]
+
+    def test_rho0_plus_one_has_rank_two_not_three(self, octagon, sample_l3):
+        images = []
+        for m in octagon.matrices:
+            block = np.eye(3)
+            block[:2, :2] = m
+            images.append(block)
+        b = representation_pair(octagon, images, 3)
+        two, three = check_rank(b, sample_l3, 2), check_rank(b, sample_l3, 3)
+        assert two["passed"] and two["sigma_n"] > 1e-4
+        assert three["passed"] and three["sigma_n"] < CHECK_TOL
+        assert three["sigma_n"] == two["max_violation"]
+
+    def test_missing_value_raises_naming_its_word(self, sample_l3):
+        # a NaN table row among the values the kernel needs raises
+        # DomainError naming its word; one of a dropped point does not
+        e, f, kept = rank_rule(sample_l3)
+        dropped = next(i for i in range(len(sample_l3)) if i not in kept + [e, f])
+        base = veronese_pair(3)
+
+        def missing(fn, word):
+            def value(p):
+                if p.word == word:
+                    raise SpectrumError("no value here")
+                return fn(p)
+            return value
+
+        points = sample_l3.points
+        for side, at in (("xi", kept[5]), ("xi", e), ("xi*", kept[-1]), ("xi*", f)):
+            word = points[at].word
+            fns = {"xi_fn": base.xi_fn, "xistar_fn": base.xistar_fn}
+            key = "xi_fn" if side == "xi" else "xistar_fn"
+            fns[key] = missing(fns[key], word)
+            b = CurvePair(n=3, label="missing", **fns)
+            with pytest.raises(DomainError, match=re.escape(f"needs {side} at {word},")):
+                check_rank(b, sample_l3, 3)
+        # a covector at f0 that annihilates xi at a kept point
+        x = points[kept[7]]
+        null = np.cross(base.xi(x), base.xi(points[kept[40]]))
+        b = CurvePair(n=3, xi_fn=base.xi_fn, label="degenerate",
+                      xistar_fn=lambda p: null if p is points[f] else base.xistar(p))
+        with pytest.raises(DomainError, match="degenerate pairing"):
+            check_rank(b, sample_l3, 3)
+        word = points[dropped].word
+        b = CurvePair(n=3, xi_fn=missing(base.xi_fn, word),
+                      xistar_fn=missing(base.xistar_fn, word), label="dropped")
+        assert np.isnan(b.table(sample_l3)[0][dropped]).all()
+        assert check_rank(b, sample_l3, 3)["passed"]
+
+    def test_rank_out_of_range_raises(self, sample_l2):
+        b = veronese_pair(3)
+        for n in (0, len(sample_l2)):
+            with pytest.raises(DomainError, match="kept points"):
+                check_rank(b, sample_l2, n)
 
 
 class TestProjectiveLineRelations:

@@ -86,8 +86,8 @@ def test_public_names_pinned():
         },
         "crossratio": {
             "CurvePair", "DomainError", "check_axioms",
-            "check_invariance", "check_relation12", "check_relation13",
-            "classical_cr", "curve_cr", "curve_cr_fn",
+            "check_invariance", "check_rank", "check_relation12",
+            "check_relation13", "classical_cr", "curve_cr", "curve_cr_fn",
             "draw_indices", "draw_points", "dual_cr", "embed_from_cr",
             "flow_from_cr", "period", "representation_pair", "veronese_pair",
         },
@@ -211,7 +211,8 @@ def test_reports_print_plain_numbers(octagon, sample_l2):
                crossratio.check_invariance(b, sample_l2, 20, seed=1),
                crossratio.check_relation12(b, sample_l2, 20, seed=1),
                crossratio.check_relation13(b, sample_l2, 20, seed=1),
-               crossratio.embed_from_cr(b, w, e, u, sample_l2, 20, seed=1)[1]]
+               crossratio.embed_from_cr(b, w, e, u, sample_l2, 20, seed=1)[1],
+               crossratio.check_rank(b, sample_l2, 2)]
     assert any(r["argmax"][k] for r in reports for k in r["argmax"])
     for report in reports:
         assert "np." not in repr(report), report

@@ -545,6 +545,59 @@ class TestStackedPick:
             stack[::9, 0, 0] = np.nan
             assert 0 < assert_same_pick(stack) < 40
 
+    @staticmethod
+    def assert_lines_are_looped(stack):
+        """(lines, errors) of dominant_lines(stack) against looped_lines:
+        the same bytes, a NaN row where the loop has a message, and the
+        same messages."""
+        lines, errors = dominant_lines(stack)
+        want = looped_lines(stack)
+        nan = np.full(stack.shape[-1], np.nan)
+        assert lines.tobytes() == np.array(
+            [nan if isinstance(w, str) else w for w in want]).tobytes()
+        assert errors == [w if isinstance(w, str) else None for w in want]
+
+    def test_non_finite_stack_solves_its_finite_matrices(self, monkeypatch):
+        # eig runs on the whole stack first; its LinAlgError for the one
+        # inf matrix sends the finite mask to a second eig on the rest
+        rng = np.random.default_rng(31)
+        stack = np.array([sym_power_rep(4, random_hyperbolic(rng)) for _ in range(5)])
+        stack[3, 1, 2] = np.inf
+        sizes = []
+        eig = np.linalg.eig
+
+        def counted(a):
+            sizes.append(len(a))
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        lines, errors = dominant_lines(stack)
+        assert sizes == [5, 4]
+        assert errors == [None] * 3 + ["matrix is not finite", None]
+        monkeypatch.undo()
+        self.assert_lines_are_looped(stack)
+
+    def test_eig_error_of_a_finite_stack_is_raised_again(self, monkeypatch):
+        def fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fails)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            dominant_lines(np.eye(3)[None])
+
+    def test_real_spectrum_stack_matches_looped_pick(self, octagon, sample_l3):
+        # eig returns a real spectrum as a real array, with no not-real test
+        # to run; a tied and a negative dominant eigenvalue, and a class
+        # stack of Sym^(n-1) products, keep the loop's lines and messages
+        images = GeneratorSet([sym_power_rep(5, m) for m in octagon.matrices])
+        for stack in class_stacks(images, sample_l3)[::9]:
+            assert not np.iscomplexobj(np.linalg.eig(stack)[0])
+            self.assert_lines_are_looped(stack)
+        mixed = np.array([np.diag([2.0, -2.0, 0.25]), np.diag([1.0, -3.0, 0.5]),
+                          sym_power_rep(3, random_hyperbolic(np.random.default_rng(32)))])
+        assert not np.iscomplexobj(np.linalg.eig(mixed)[0])
+        self.assert_lines_are_looped(mixed)
+
     def test_lines_are_read_only_rows_of_one_array(self):
         # a row per matrix of the stack, NaN where its message is
         rng = np.random.default_rng(28)
